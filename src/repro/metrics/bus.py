@@ -41,7 +41,9 @@ class SnapshotWriter:
         self.path = path
         self.registry = registry
         self.min_interval = min_interval
-        self._last_write = 0.0
+        #: monotonic time of the last write; ``None`` until the first, so
+        #: the first event writes however recently the clock started.
+        self._last_write: float | None = None
         self.writes = 0
 
     def _registry(self) -> MetricRegistry:
@@ -63,8 +65,10 @@ class SnapshotWriter:
         if kind is not None:
             self._track_progress(kind, event)
         force = kind == "sweep_end" or event is None
-        if not force and (
-            time.monotonic() - self._last_write < self.min_interval
+        if (
+            not force
+            and self._last_write is not None
+            and time.monotonic() - self._last_write < self.min_interval
         ):
             return
         self.flush()

@@ -12,6 +12,7 @@
 from repro.placement.affinity import (
     control_pairing,
     matrix_correlation,
+    static_edges,
     static_matrix,
     traced_matrix,
 )
@@ -35,6 +36,7 @@ from repro.placement import report
 __all__ = [
     "control_pairing",
     "matrix_correlation",
+    "static_edges",
     "static_matrix",
     "traced_matrix",
     "BindPlan",

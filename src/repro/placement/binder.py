@@ -38,9 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.comm.matrix import CommMatrix
 from repro.orwl.program import Program
-from repro.placement.affinity import static_matrix
+from repro.placement.affinity import static_edges, static_matrix
 from repro.placement.policies import (
     NoBindPolicy,
     PlacementPolicy,
@@ -94,21 +96,40 @@ class BindPlan:
 
 
 def task_matrix(program: Program, op_matrix: Optional[CommMatrix] = None) -> CommMatrix:
-    """Aggregate the op-level affinity matrix to task granularity."""
-    if op_matrix is None:
-        op_matrix = static_matrix(program)
+    """The task×task affinity matrix TreeMatch maps in paper mode.
+
+    Without *op_matrix*, the writer/reader pairs of
+    :func:`~repro.placement.affinity.static_edges` are folded straight
+    to tasks — one ``bincount`` over task-pair keys, O(edges), with no
+    op×op array.  An explicit *op_matrix* (a DAG extraction, an
+    override) is aggregated per task instead (the paper's
+    ``AggregateComMatrix``).  Both give the same matrix on the static
+    extraction.
+    """
     ops = program.operations()
+    labels = list(program.tasks)
+    n_tasks = len(labels)
+    task_index = {name: k for k, name in enumerate(labels)}
+    task_of = np.fromiter(
+        (task_index[op.task.name] for op in ops), dtype=np.intp, count=len(ops)
+    )
+    if op_matrix is None:
+        w, r, vol = static_edges(program)
+        tw, tr = task_of[w], task_of[r]
+        keys = np.concatenate((tw * n_tasks + tr, tr * n_tasks + tw))
+        folded = np.bincount(
+            keys, weights=np.concatenate((vol, vol)), minlength=n_tasks * n_tasks
+        )
+        return CommMatrix(folded.reshape(n_tasks, n_tasks), labels=labels)
     if op_matrix.order != len(ops):
         raise ValidationError(
             f"op matrix order {op_matrix.order} != {len(ops)} operations"
         )
-    groups: list[list[int]] = []
-    for task in program.tasks.values():
-        groups.append(
-            [k for k, op in enumerate(ops) if op.task is task]
-        )
+    groups: list[list[int]] = [[] for _ in labels]
+    for k, t in enumerate(task_of.tolist()):
+        groups[t].append(k)
     agg = op_matrix.aggregated(groups)
-    return CommMatrix(agg.values, labels=list(program.tasks))
+    return CommMatrix(agg.values, labels=labels)
 
 
 def _comm_thread_slots(program: Program) -> tuple[list[int], list[int]]:
@@ -178,15 +199,15 @@ def bind_program(
     op_labels = [op.name for op in ops]
     task_names = list(program.tasks)
     n_tasks = len(task_names)
-    op_mat = matrix if matrix is not None else static_matrix(program)
 
     if granularity == "op":
+        op_mat = matrix if matrix is not None else static_matrix(program)
         return _bind_at_op_granularity(
             program, topo, policy, op_mat, place_control, **policy_kwargs
         )
 
     # ---- task granularity (paper mode) --------------------------------
-    tmat = task_matrix(program, op_mat)
+    tmat = task_matrix(program, matrix)
     comm_ops, comm_pairing = _comm_thread_slots(program)
     # Control entities = communication threads + one runtime control
     # thread per task, all paired with their task's compute slot.

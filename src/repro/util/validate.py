@@ -30,7 +30,11 @@ def check_square_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def check_symmetric(m: np.ndarray, name: str = "matrix", rtol: float = 1e-9) -> np.ndarray:
     """Validate that *m* is square and symmetric (within *rtol*)."""
     a = check_square_matrix(m, name)
-    if a.size and not np.allclose(a, a.T, rtol=rtol, atol=1e-12):
+    # Exact equality is the common case and several times cheaper than
+    # ``allclose``; which matrices pass is the same either way.
+    if np.array_equal(a, a.T):
+        return a
+    if not np.allclose(a, a.T, rtol=rtol, atol=1e-12):
         worst = float(np.abs(a - a.T).max())
         raise ValidationError(f"{name} must be symmetric (max |m - m.T| = {worst:g})")
     return a

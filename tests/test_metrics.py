@@ -420,6 +420,22 @@ def test_snapshot_writer_rate_limit_and_forced_end(tmp_path):
     assert writer.writes == 3  # explicit flush always writes
 
 
+def test_snapshot_writer_first_event_writes_soon_after_boot(tmp_path, monkeypatch):
+    # time.monotonic() counts from boot on Linux: a host up for 5 s must
+    # still get its first snapshot under a 3600 s rate limit.
+    from repro.exec.progress import SweepEvent
+    from repro.metrics import bus
+
+    monkeypatch.setattr(bus.time, "monotonic", lambda: 5.0)
+    writer = SnapshotWriter(
+        str(tmp_path / "live.json"), registry=MetricRegistry(), min_interval=3600.0
+    )
+    writer(SweepEvent("point_done", 0.1, done=1, total=4))
+    assert writer.writes == 1
+    writer(SweepEvent("point_done", 0.2, done=2, total=4))
+    assert writer.writes == 1  # the second is rate-limited
+
+
 def test_read_snapshot_tolerates_torn_and_missing(tmp_path):
     assert read_snapshot(str(tmp_path / "nope.json")) is None
     torn = tmp_path / "torn.json"

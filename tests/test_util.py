@@ -76,6 +76,27 @@ class TestValidate:
     def test_symmetric_empty_ok(self):
         check_symmetric(np.zeros((0, 0)))
 
+    def test_symmetric_exact_returns_float_array(self):
+        m = np.arange(16).reshape(4, 4)
+        out = check_symmetric(m + m.T)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, m + m.T)
+
+    def test_symmetric_within_rtol_ok(self):
+        m = np.array([[0.0, 1e6], [1e6 * (1 + 1e-12), 0.0]])
+        assert not np.array_equal(m, m.T)
+        check_symmetric(m)
+
+    def test_symmetric_beyond_rtol_rejects(self):
+        m = np.array([[0.0, 1e6], [1e6 * (1 + 1e-6), 0.0]])
+        with pytest.raises(ValidationError, match="symmetric"):
+            check_symmetric(m)
+
+    def test_symmetric_rejects_nan(self):
+        m = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(ValidationError, match="symmetric"):
+            check_symmetric(m)
+
     def test_nonnegative(self):
         check_nonnegative([[0, 1]])
         with pytest.raises(ValidationError):
