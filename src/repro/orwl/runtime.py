@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 from repro.comm.trace import CommTracer
 from repro.orwl.fifo import AccessMode, Request
 from repro.orwl.handle import Handle
-from repro.orwl.location import Location
 from repro.orwl.program import Operation, Program
 from repro.simulate.engine import SimEvent
 from repro.simulate.machine import Machine
@@ -89,6 +88,17 @@ class _ControlQueue:
         self.jobs: deque[Request] = deque()
         self.waiter: Optional[SimEvent] = None
         self.shutdown = False
+
+    def post(self, req: Request) -> None:
+        """Grant callback of the task's locations: queue *req* for the
+        control thread and wake it if it is parked."""
+        self.jobs.append(req)
+        self.wake()
+
+    def wake(self) -> None:
+        if self.waiter is not None:
+            w, self.waiter = self.waiter, None
+            w.fire()
 
 
 class OpContext:
@@ -246,10 +256,15 @@ class Runtime:
                 self._control_tids.append(tid)
                 machine.set_body(tid, self._control_body(cq, tid))
 
-        # -- wire grant routing before inserting any request ----------------
-        self._events: dict[int, SimEvent] = {}
+        # -- wire grant routing before inserting any request: a task's
+        # locations share its control queue's callback (no per-location
+        # closure); tasks without a control thread grant directly.
+        post_of_task = {
+            tname: cq.post for tname, cq in self._control_queue_of_task.items()
+        }
+        direct = self._grant_direct
         for loc in program.locations.values():
-            loc.set_grant_callback(self._make_grant_router(loc))
+            loc.set_grant_callback(post_of_task.get(loc.owner_task, direct))
 
         # -- the ORWL init protocol: initial requests ordered by the
         # handles' init phase, then declaration order.  This is the
@@ -288,28 +303,19 @@ class Runtime:
     def trace_id_of_tid(self, tid: int) -> int:
         return self._trace_id_of_tid[tid]
 
-    def _make_grant_router(self, loc: Location):
-        owner = loc.owner_task
-
-        def route(req: Request) -> None:
-            cq = self._control_queue_of_task.get(owner)
-            if cq is None:
-                # No control thread for this location: direct grant.
-                self.event_of(req).fire(delay=self.config.direct_grant_latency)
-                self._trace_grant(-1, req)
-                return
-            cq.jobs.append(req)
-            if cq.waiter is not None:
-                w, cq.waiter = cq.waiter, None
-                w.fire()
-
-        return route
+    def _grant_direct(self, req: Request) -> None:
+        """Grant with no control thread: fire after the direct latency."""
+        self.event_of(req).fire(delay=self.config.direct_grant_latency)
+        if self.machine.tracer is not None:
+            self._trace_grant(-1, req)
 
     def _trace_grant(self, ctl_tid: int, req: Request) -> None:
-        """Emit a structured grant event (ctl_tid -1 = direct grant)."""
+        """Emit a structured grant event (ctl_tid -1 = direct grant).
+
+        Callers check that a tracer is attached.
+        """
         tracer = self.machine.tracer
-        if tracer is None:
-            return
+        assert tracer is not None
         pu = self.machine.thread(ctl_tid).current_pu if ctl_tid >= 0 else -1
         tracer.emit(
             "grant",
@@ -340,18 +346,29 @@ class Runtime:
         return self.machine.distances.latency(src, dst)
 
     def _control_body(self, cq: _ControlQueue, ctl_tid: int) -> Generator:
-        """Control-thread loop: service grant messages until shutdown."""
+        """Control-thread loop: service grant messages until shutdown.
+
+        One grant per job, so the loop binds its hot names once and
+        yields one shared ``Compute`` (syscalls are immutable).  The
+        body first runs inside ``Machine.run``, after any tracer was
+        attached, so the tracer is read once too.
+        """
+        grant = Compute(self.config.grant_cost)
+        jobs = cq.jobs
+        event_of = self.event_of
+        latency = self._grant_message_latency
+        machine = self.machine
+        traced = machine.tracer is not None
         while True:
-            while cq.jobs:
-                req = cq.jobs.popleft()
-                yield Compute(self.config.grant_cost)
-                self.event_of(req).fire(
-                    delay=self._grant_message_latency(ctl_tid, req)
-                )
-                self._trace_grant(ctl_tid, req)
+            while jobs:
+                req = jobs.popleft()
+                yield grant
+                event_of(req).fire(delay=latency(ctl_tid, req))
+                if traced:
+                    self._trace_grant(ctl_tid, req)
             if cq.shutdown:
                 return
-            ev = self.machine.new_event("ctl-wake")
+            ev = machine.new_event("ctl-wake")
             cq.waiter = ev
             yield Wait(ev)
 
@@ -367,9 +384,7 @@ class Runtime:
             if self._ops_remaining == 0:
                 for cq in self._control_queue_of_task.values():
                     cq.shutdown = True
-                    if cq.waiter is not None:
-                        w, cq.waiter = cq.waiter, None
-                        w.fire()
+                    cq.wake()
 
     # -- execution ----------------------------------------------------------
 

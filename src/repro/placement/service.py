@@ -67,6 +67,11 @@ from repro.util.validate import ValidationError
 
 __all__ = ["CommSketch", "Decision", "PlacementService"]
 
+#: Quiet window, in seconds: :meth:`PlacementService.health` reports
+#: ``"degraded"`` while the last recorded error is younger than this,
+#: and ``"ok"`` again once the window passes without a new error.
+HEALTH_RECOVERY_S = 60.0
+
 
 # ---------------------------------------------------------------------------
 # Sliding communication sketch
@@ -316,14 +321,21 @@ class PlacementService:
     def health(self) -> dict:
         """Liveness summary: uptime, queries served, last error.
 
-        ``status`` is ``"ok"`` until an error is recorded via
-        :meth:`record_error` (``"degraded"`` afterwards) — the payload
+        ``status`` is ``"degraded"`` for :data:`HEALTH_RECOVERY_S`
+        seconds after an error is recorded via :meth:`record_error`, and
+        ``"ok"`` otherwise: a service recovers once that quiet window
+        passes with no new error.  ``last_error`` keeps the most recent
+        failure either way.  This is the payload
         ``repro.tools.place serve``'s ``health`` verb and the HTTP
         ``/healthz`` endpoint return.
         """
         now = time.monotonic()
+        degraded = (
+            self._last_error_age_t is not None
+            and now - self._last_error_age_t < HEALTH_RECOVERY_S
+        )
         return {
-            "status": "ok" if self._last_error is None else "degraded",
+            "status": "degraded" if degraded else "ok",
             "uptime_s": now - self._started_monotonic,
             "queries_served": self._queries_served,
             "epoch": self._epoch,

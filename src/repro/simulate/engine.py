@@ -420,11 +420,26 @@ class SimEvent:
             )
         self._fired = True
         self._release_at = self._engine.now + delay
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:  # e.g. a lock grant that lands before its acquire
+            return
+        self._waiters = []
         if not self._batched:
             for cb in waiters:
                 self._engine.schedule(delay, cb)
             return
+        if len(waiters) == 1:
+            # Hot single-waiter path (lock grants, control-thread
+            # wake-ups): one plain heap entry, as the loop below would
+            # schedule for n == 1.
+            segment = waiters[0]
+            if segment.__class__ is _ThreadRun:
+                if len(segment.threads) == 1:
+                    self._engine.schedule(delay, segment.release)
+                    return
+            elif len(segment) == 1:
+                self._engine.schedule(delay, segment[0])
+                return
         items: List[tuple[int, Callable[[], None]]] = []
         n = 0
         for segment in waiters:
@@ -435,12 +450,7 @@ class SimEvent:
                 k = len(segment)
                 items.append((1, segment[0]) if k == 1 else (k, _sequence(segment)))
             n += k
-        if n == 0:
-            return
-        if n == 1:
-            self._engine.schedule(delay, items[0][1])
-        else:
-            self._engine._schedule_cohort(delay, items, n)
+        self._engine._schedule_cohort(delay, items, n)
 
     def __repr__(self) -> str:
         if self._fired:

@@ -480,27 +480,35 @@ class Machine:
                 self._trace("thread_end", t, self.engine.now)
             self.scheduler.vacate(t.current_pu)
             return
-        self._perform(t, sc)
+        # The hot syscalls dispatch by class identity; the rarer kinds
+        # take _perform.
+        cls = sc.__class__
+        if cls is Compute:
+            self._do_work(t, sc.duration, is_compute=True)  # type: ignore[attr-defined]
+        elif cls is Wait:
+            self._block(t, sc.event)  # type: ignore[attr-defined]
+        elif cls is Receive:
+            self._do_receive(t, sc.producer, sc.nbytes)  # type: ignore[attr-defined]
+        else:
+            self._perform(t, sc)
 
     def _perform(self, t: SimThread, sc: Syscall) -> None:
-        if isinstance(sc, Compute):
-            self._do_work(t, sc.duration, is_compute=True)
-        elif isinstance(sc, ComputeFlops):
+        """Dispatch the syscalls that ``_advance`` does not handle inline."""
+        if isinstance(sc, ComputeFlops):
             self._maybe_pull(t)  # pick the PU before pricing the work
             self._do_work(t, sc.flops / self._rate_of_pu[t.current_pu], is_compute=True)
-        elif isinstance(sc, Receive):
-            self._do_receive(t, sc.producer, sc.nbytes)
         elif isinstance(sc, ReceiveFromNode):
             self._do_receive_from_node(t, sc.node_index, sc.nbytes)
-        elif isinstance(sc, Wait):
-            t.state = ThreadState.BLOCKED
-            t.blocked_since = self.engine.now
-            sc.event.wait_thread(self, t, sc.event.name)
         elif isinstance(sc, Yield):
             t.state = ThreadState.READY
             self.engine.schedule(0.0, t.resume_cb or self._resume_fn(t))
         else:
             raise SimulationError(f"thread {t.tid} yielded non-syscall {sc!r}")
+
+    def _block(self, t: SimThread, event: SimEvent) -> None:
+        t.state = ThreadState.BLOCKED
+        t.blocked_since = self.engine.now
+        event.wait_thread(self, t, event.name)
 
     def _release_batch(self, threads: list[SimThread], names: list[str]) -> None:
         """Wake a run of threads parked on one event (engine callback).
@@ -555,7 +563,10 @@ class Machine:
             end = now + duration
             self._pu_free_at[pu] = max(self._pu_free_at[pu] + duration, end)
             return now, end
-        start = max(now, self._pu_free_at[pu])
+        # float(): a numpy scalar here would make every derived
+        # timestamp (and heap comparison) an np.float64 — the same
+        # doubles at several times the cost per operation.
+        start = max(now, float(self._pu_free_at[pu]))
         if start > now:
             self.metrics.record_runq(start - now)
             t.runq_time += start - now
@@ -582,6 +593,15 @@ class Machine:
         what the paper's binding buys.
         """
         if t.is_bound:
+            return
+        # Exact pre-check: the backlog vector is clamped at 0, so the
+        # thread's PU can exceed the least-loaded one by at most its own
+        # booking; within the (non-negative) threshold pull_target
+        # would return None without drawing from the RNG.
+        if (
+            self._pu_free_at[t.current_pu] - self.engine.now
+            <= self.scheduler.config.imbalance_threshold
+        ):
             return
         target = self.scheduler.pull_target(t.current_pu, self._backlog())
         if target is not None:

@@ -204,3 +204,132 @@ def test_random_protocol_liveness(script):
             fifo.insert(R if action == "R" else W, action)
         if len(fifo):
             assert fifo.queue[0].state is RequestState.GRANTED
+
+
+class ScanFifo(OrwlFifo):
+    """The scan-based grant rule the prefix counters replaced (oracle).
+
+    ``granted_count`` rescans the queue, ``_pump`` re-derives the
+    granted prefix and its WRITEs on every pass, and ``release`` removes
+    by search — the pre-counter implementation, kept verbatim so the
+    O(1) bookkeeping of :class:`OrwlFifo` is checked against it.
+    """
+
+    def granted_count(self) -> int:
+        n = 0
+        for req in self._queue:
+            if req.state is RequestState.GRANTED:
+                n += 1
+            else:
+                break
+        return n
+
+    def holder_modes(self):
+        return [r.mode for r in self._queue if r.state is RequestState.GRANTED]
+
+    def release(self, req) -> None:
+        if req.state is not RequestState.GRANTED:
+            raise FifoError(
+                f"cannot release request {req!r} in state {req.state.value}"
+            )
+        try:
+            self._queue.remove(req)
+        except ValueError:
+            raise FifoError(f"request {req!r} is not in FIFO {self.name!r}") from None
+        req.state = RequestState.RELEASED
+        self._pump()
+
+    def _pump(self) -> None:
+        granted = []
+        while True:
+            n_active = self.granted_count()
+            if n_active >= len(self._queue):
+                break
+            nxt = self._queue[n_active]
+            assert nxt.state is RequestState.PENDING
+            if nxt.mode is AccessMode.WRITE:
+                if n_active > 0:
+                    break
+            else:
+                if any(
+                    self._queue[k].mode is AccessMode.WRITE for k in range(n_active)
+                ):
+                    break
+            nxt.state = RequestState.GRANTED
+            granted.append(nxt)
+        for req in granted:
+            self._on_grant(req)
+
+
+#: Script steps.  ``release``/``cancel``/``next`` pick a request by
+#: position in the live queue (so granted readers leave from the middle
+#: of the prefix, too); ``*_any`` pick among every request ever made,
+#: reaching released and cancelled ones (double releases).
+_FIFO_STEP = st.one_of(
+    st.tuples(st.just("insert"), st.sampled_from([R, W])),
+    st.tuples(
+        st.sampled_from(["release", "cancel", "next", "release_any", "cancel_any"]),
+        st.integers(0, 15),
+    ),
+    st.tuples(st.sampled_from(["release_foreign", "cancel_foreign"]), st.just(0)),
+)
+
+
+class _Side:
+    """One implementation under the differential script."""
+
+    def __init__(self, cls):
+        self.log = []
+        self.fifo = cls(on_grant=lambda req: self.log.append(req.tag), name="loc")
+        self.reqs = []
+        # A granted and a pending request of another FIFO.
+        other = cls(name="other")
+        self.foreign_granted = other.insert(W, "fg")
+        self.foreign_pending = other.insert(W, "fp")
+
+    def step(self, action, arg):
+        """Apply one step; returns the raised error as (type, message)."""
+        try:
+            if action == "insert":
+                self.reqs.append(self.fifo.insert(arg, f"q{len(self.reqs)}"))
+            elif action == "release_foreign":
+                self.fifo.release(self.foreign_granted)
+            elif action == "cancel_foreign":
+                self.fifo.cancel(self.foreign_pending)
+            else:
+                pool = self.reqs if action.endswith("_any") else self.fifo.queue
+                if not pool:
+                    return None
+                req = pool[arg % len(pool)]
+                if action.startswith("release"):
+                    self.fifo.release(req)
+                elif action.startswith("cancel"):
+                    self.fifo.cancel(req)
+                else:  # orwl_next: re-insert at the tail, then release
+                    self.reqs.append(self.fifo.insert(req.mode, f"q{len(self.reqs)}"))
+                    self.fifo.release(req)
+        except (FifoError, ValueError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    def snapshot(self):
+        return (
+            list(self.log),
+            self.fifo.granted_count(),
+            self.fifo.holder_modes(),
+            [r.tag for r in self.fifo.queue],
+            [r.state for r in self.reqs],
+        )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FIFO_STEP, min_size=1, max_size=80))
+def test_prefix_counters_match_scan_oracle(script):
+    """Differential: the O(1) prefix counters grant exactly what the
+    scan-based rule grants — same grant sequence, granted count, holder
+    modes and request states after every step, and the same errors
+    (double/foreign releases, middle-reader releases, cancels)."""
+    fast, oracle = _Side(OrwlFifo), _Side(ScanFifo)
+    for action, arg in script:
+        assert fast.step(action, arg) == oracle.step(action, arg)
+        assert fast.snapshot() == oracle.snapshot()

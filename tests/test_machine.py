@@ -1,5 +1,7 @@
 """Tests for the simulated machine: compute, transfers, scheduling."""
 
+import math
+
 import pytest
 
 from repro.simulate.contention import ContentionConfig, ContentionModel
@@ -345,6 +347,96 @@ class TestUnboundThreads:
         m.run()
         # The priority thread finished long before the 10 s burst ended.
         assert done_time[0] < 0.1
+
+
+#: The default idle-pull threshold (seconds of PU booking).
+THRESHOLD = SchedulerConfig().imbalance_threshold
+
+
+def _unconditional_pull(m, t):
+    """``Machine._maybe_pull`` without its scalar pre-check: consult
+    ``pull_target`` on every call (the reference for the pre-check)."""
+    if t.bound_pu is not None:
+        return
+    target = m.scheduler.pull_target(t.current_pu, m._backlog())
+    if target is not None:
+        m.scheduler.vacate(t.current_pu)
+        m.scheduler.occupy(target)
+        t.current_pu = target
+        penalty = m.scheduler.config.migration_penalty
+        t.pending_penalty += penalty
+        t.migrations += 1
+        m.metrics.record_migration(penalty)
+
+
+def _count_pull_target(m, monkeypatch):
+    calls = []
+    real = m.scheduler.pull_target
+
+    def spy(pu, backlog):
+        calls.append(pu)
+        return real(pu, backlog)
+
+    monkeypatch.setattr(m.scheduler, "pull_target", spy)
+    return calls
+
+
+class TestPullPreCheck:
+    """The idle-pull pre-check skips ``pull_target`` exactly when it
+    would return ``None`` without drawing from the scheduler RNG."""
+
+    @pytest.mark.parametrize(
+        "booked, consulted",
+        [
+            (THRESHOLD, False),
+            (math.nextafter(THRESHOLD, math.inf), True),
+            (10 * THRESHOLD, True),
+        ],
+        ids=["at-threshold", "one-ulp-above", "well-above"],
+    )
+    def test_pull_target_consulted_only_above_threshold(
+        self, small_topo, monkeypatch, booked, consulted
+    ):
+        m = Machine(small_topo, seed=0)
+        t = m.thread(m.add_thread("t"))
+        t.current_pu = 0
+        m.scheduler.occupy(0)
+        calls = _count_pull_target(m, monkeypatch)
+        m._pu_free_at[0] = booked  # PU 0 booked *booked* s past now = 0
+        m._maybe_pull(t)
+        assert calls == ([0] if consulted else [])
+        # Every other PU is idle, so a consulted pull moves the thread.
+        assert (t.current_pu != 0) is consulted
+
+    @staticmethod
+    def _nobind_run(topo, monkeypatch, unconditional):
+        m = Machine(topo, seed=3)
+        for k in range(12):
+            tid = m.add_thread(f"t{k}")
+            m.set_body(
+                tid, iter([Compute(1e-3 * (1 + (k * j) % 5)) for j in range(20)])
+            )
+        if unconditional:
+            m._maybe_pull = lambda t: _unconditional_pull(m, t)
+        calls = _count_pull_target(m, monkeypatch)
+        total = m.run()
+        return m, total, len(calls)
+
+    def test_rng_state_matches_unconditional_pull(self, small_topo, monkeypatch):
+        fast, fast_time, fast_calls = self._nobind_run(small_topo, monkeypatch, False)
+        ref, ref_time, ref_calls = self._nobind_run(small_topo, monkeypatch, True)
+        # The run exercises both sides: pulls happen, and the pre-check
+        # skips some pull_target calls.
+        assert fast.metrics.migrations > 0
+        assert 0 < fast_calls < ref_calls
+        assert (
+            fast.scheduler._rng.bit_generator.state
+            == ref.scheduler._rng.bit_generator.state
+        )
+        assert fast_time == ref_time
+        assert fast.metrics.summary() == ref.metrics.summary()
+        for tid in range(fast.n_threads):
+            assert fast.thread_stats(tid) == ref.thread_stats(tid)
 
 
 class TestContentionModel:

@@ -674,3 +674,30 @@ class TestServicePlumbing:
             "memo_entries", "inflight", "sketch_events",
         }
         assert stats["memo_entries"] == 1
+
+    def test_health_recovers_after_quiet_window(self, small_topo, monkeypatch):
+        from repro.placement import service as service_mod
+
+        clock = [1000.0]
+        monkeypatch.setattr(service_mod.time, "monotonic", lambda: clock[0])
+        svc = PlacementService(small_topo)
+        assert svc.health()["status"] == "ok"
+
+        svc.record_error(ValueError("bad query"))
+        window = service_mod.HEALTH_RECOVERY_S
+        clock[0] += window / 2
+        health = svc.health()
+        assert health["status"] == "degraded"
+        assert health["last_error"] == "ValueError: bad query"
+        assert health["last_error_age_s"] == window / 2
+
+        # A second error restarts the window.
+        svc.record_error(RuntimeError("again"))
+        clock[0] += window / 2
+        assert svc.health()["status"] == "degraded"
+
+        clock[0] += window / 2
+        recovered = svc.health()
+        assert recovered["status"] == "ok"
+        assert recovered["last_error"] == "RuntimeError: again"
+        assert recovered["last_error_age_s"] == window
