@@ -183,11 +183,18 @@ class CommMatrix:
             missing = sorted(set(range(self.order)) - seen)
             raise ValidationError(f"groups must partition entities; missing {missing}")
         k = len(groups)
-        # One indicator-matrix product instead of k² fancy-index sums.
-        indicator = np.zeros((k, self.order))
+        # One weighted bincount over the (group, group) id of every
+        # entry.  No indicator-matrix product: a BLAS matrix-matrix call
+        # starts the BLAS thread pool in every sweep worker and
+        # oversubscribes the host.  The only temporary as large as the
+        # matrix is the n² bin index.
+        gid = np.empty(self.order, dtype=np.intp)
         for gi, g in enumerate(groups):
-            indicator[gi, list(g)] = 1.0
-        out = indicator @ self._m @ indicator.T
+            gid[list(g)] = gi
+        bins = gid[:, None] * k + gid[None, :]
+        out = np.bincount(
+            bins.ravel(), weights=self._m.ravel(), minlength=k * k
+        ).reshape(k, k)
         np.fill_diagonal(out, 0.0)
         labels = tuple("+".join(self._labels[i] for i in g) for g in groups)
         return CommMatrix(out, labels=labels)

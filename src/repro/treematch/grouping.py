@@ -211,11 +211,20 @@ def refine_swap(
                 # the full |A| × |B| swap-gain matrix at once (the
                 # scalar version recomputed attachments inside a
                 # quadruple loop).  ``- 2 m[a, b]`` corrects for the
-                # a-b edge, which stays cut after the swap.
-                mAA = m[np.ix_(A, A)]
-                mBB = m[np.ix_(B, B)]
-                mAB = m[np.ix_(A, B)]
-                mBA = m[np.ix_(B, A)]
+                # a-b edge, which stays cut after the swap.  Both row
+                # blocks are taken once and the four submatrices are
+                # column takes from them: the same C-ordered arrays as
+                # ``np.ix_`` builds, so the axis sums add in the same
+                # order (``rows[:, idx]`` is Fortran-ordered and would
+                # not, once a group has 8 or more members).
+                idx_a = np.asarray(A, dtype=np.intp)
+                idx_b = np.asarray(B, dtype=np.intp)
+                rowsA = m.take(idx_a, axis=0)
+                rowsB = m.take(idx_b, axis=0)
+                mAA = rowsA.take(idx_a, axis=1)
+                mBB = rowsB.take(idx_b, axis=1)
+                mAB = rowsA.take(idx_b, axis=1)
+                mBA = rowsB.take(idx_a, axis=1)
                 a_in_A = mAA.sum(axis=0) - np.diag(mAA)
                 b_in_B = mBB.sum(axis=0) - np.diag(mBB)
                 a_in_B = mBA.sum(axis=0)

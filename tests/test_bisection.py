@@ -1,8 +1,13 @@
 """Tests for the recursive-bisection grouping strategy."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.comm import patterns
 from repro.treematch.bisection import group_bisection
 from repro.treematch.grouping import group_processes, intra_group_volume
@@ -59,3 +64,21 @@ class TestBisection:
         greedy = intra_group_volume(m, group_processes(m, 4, strategy="greedy"))
         # Both heuristics must land in the same quality neighbourhood.
         assert bis > 0.5 * greedy
+
+
+def test_networkx_imported_only_for_bisection():
+    """The package and the experiment drivers load without networkx.
+
+    Only ``group_bisection`` needs it, and it is the heaviest import in
+    the package; sweep workers and CLI start-up should not pay for it.
+    """
+    script = (
+        "import sys\n"
+        "import repro, repro.experiments.fig1, repro.experiments.scaling, "
+        "repro.experiments.dag\n"
+        "from repro.treematch import group_bisection\n"
+        "assert 'networkx' not in sys.modules, 'networkx imported eagerly'\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)

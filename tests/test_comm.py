@@ -1,9 +1,16 @@
 """Tests for repro.comm: CommMatrix, synthetic patterns, and tracing."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.comm.matrix import CommMatrix
 from repro.comm.trace import CommTracer
 from repro.comm import patterns
@@ -144,6 +151,102 @@ class TestCommMatrixOps:
         path.write_text("3\n1 2\n")
         with pytest.raises(Exception):
             CommMatrix.load(path)
+
+
+def _indicator_aggregate(m, groups):
+    """The paper's ``AggregateComMatrix`` as a dense indicator product.
+
+    ``I @ m @ I.T`` with ``I[g, i] = 1`` for each member *i* of group
+    *g*: the oracle for :meth:`CommMatrix.aggregated`, which sums the
+    same entries without a matrix-matrix product.
+    """
+    indicator = np.zeros((len(groups), m.order))
+    for gi, g in enumerate(groups):
+        indicator[gi, list(g)] = 1.0
+    out = indicator @ m.values @ indicator.T
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+@st.composite
+def _partitions(draw):
+    """An order n, a partition of 0..n-1 into groups, and a seeded RNG.
+
+    Members come unsorted, groups in any order, and the draw covers a
+    single group (k = 1) and all singletons (k = n) as well as random
+    group ids.
+    """
+    n = draw(st.integers(min_value=1, max_value=24))
+    shape = draw(st.sampled_from(["random", "one", "singletons"]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if shape == "one":
+        gid = np.zeros(n, dtype=int)
+    elif shape == "singletons":
+        gid = rng.permutation(n)
+    else:
+        gid = rng.integers(0, draw(st.integers(min_value=1, max_value=n)), size=n)
+    groups = [[int(i) for i in rng.permutation(np.flatnonzero(gid == g))]
+              for g in np.unique(gid)]
+    order = rng.permutation(len(groups))
+    return n, [groups[g] for g in order], rng
+
+
+class TestAggregatedOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_partitions())
+    def test_integer_volumes_exact(self, case):
+        n, groups, rng = case
+        raw = rng.integers(0, 10**6, size=(n, n)).astype(float)
+        m = CommMatrix(raw, symmetrize=True)
+        agg = m.aggregated(groups)
+        assert np.array_equal(agg.values, _indicator_aggregate(m, groups))
+        assert agg.labels == tuple(
+            "+".join(m.labels[i] for i in g) for g in groups
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_partitions())
+    def test_real_volumes_close(self, case):
+        n, groups, rng = case
+        m = CommMatrix(rng.random((n, n)) * 1e3, symmetrize=True)
+        agg = m.aggregated(groups).values
+        np.testing.assert_allclose(
+            agg, _indicator_aggregate(m, groups), rtol=1e-12, atol=0
+        )
+        assert np.all(np.diag(agg) == 0.0)
+
+
+def test_aggregated_stays_single_threaded():
+    """No BLAS thread pool behind ``aggregated``.
+
+    In a sweep pool every worker would start one, oversubscribing the
+    host.  Process CPU time counts all threads, so a multi-threaded
+    kernel shows up as CPU time above wall time.  Measured in a fresh
+    interpreter, where no earlier BLAS call has left threads spinning.
+    """
+    script = textwrap.dedent("""
+        import json, time
+        import numpy as np
+        from repro.comm.matrix import CommMatrix
+        n, size = 1024, 8
+        m = CommMatrix(np.random.default_rng(0).random((n, n)), symmetrize=True)
+        groups = [list(range(g, g + size)) for g in range(0, n, size)]
+        m.aggregated(groups)
+        wall0, cpu0 = time.perf_counter(), time.process_time()
+        for _ in range(5):
+            m.aggregated(groups)
+        print(json.dumps({"wall": time.perf_counter() - wall0,
+                          "cpu": time.process_time() - cpu0}))
+    """)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    t = json.loads(out.stdout.strip().splitlines()[-1])
+    assert t["cpu"] <= 1.25 * t["wall"] + 0.005, t
 
 
 class TestPatterns:

@@ -205,6 +205,29 @@ def test_refine_swap_matches_unskipped_reference(n_groups, size, seed, rounds):
     )
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_refine_swap_matches_reference_on_wide_ties(seed):
+    """Groups of 8-12 members over a few decimal values.
+
+    Many swap gains are then equal in exact arithmetic, so the chosen
+    swap hangs on how each axis sum rounds.  From 8 members on, numpy
+    sums a Fortran-ordered block in a different order than a C-ordered
+    one, so a submatrix built with another layout than ``np.ix_``'s
+    picks other swaps here.
+    """
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(8, 13))
+    n_groups = int(rng.integers(2, 5))
+    n = n_groups * size
+    m = rng.choice(np.array([0.1, 0.2, 0.3, 0.7]), size=(n, n))
+    m = m + m.T
+    np.fill_diagonal(m, 0)
+    perm = rng.permutation(n)
+    base = [sorted(int(x) for x in perm[i * size:(i + 1) * size])
+            for i in range(n_groups)]
+    assert refine_swap(m, base) == _refine_swap_reference(m, base)
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_exact_is_optimal_brute_force(seed):
