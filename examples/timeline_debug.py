@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Visualize what the runtime actually did: an ASCII execution timeline.
 
-Runs a small LK23 decomposition with the machine's timeline recorder
-enabled and renders a Gantt-style chart per PU — compute bursts as
-``#``, data transfers as ``=``.  Comparing the bound and unbound charts
+Runs a small LK23 decomposition with a tracer attached and renders its
+compute and transfer spans as a Gantt-style chart per PU — compute
+bursts as ``#``, data transfers as ``=``.  Comparing the bound and unbound charts
 makes the placement effect *visible*: bound runs show dense, even rows;
 unbound runs show ragged rows and idle gaps where the balancer moved
 threads around.
@@ -12,6 +12,7 @@ Run:  python examples/timeline_debug.py
 """
 
 from repro.kernels import Lk23Config, build_program
+from repro.observe import Tracer, gantt_spans, pu_utilization, render_gantt
 from repro.orwl import Runtime
 from repro.placement import bind_program
 from repro.simulate import Machine
@@ -23,20 +24,21 @@ def run_with_timeline(policy: str):
     cfg = Lk23Config(n=1024, grid_rows=2, grid_cols=4, iterations=3)
     prog = build_program(cfg)
     plan = bind_program(prog, topo, policy=policy)
-    machine = Machine(topo, seed=3, timeline=True)
+    tracer = Tracer()
+    machine = Machine(topo, seed=3, tracer=tracer)
     result = Runtime(
         prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
     ).run()
-    return machine.timeline, result
+    return gantt_spans(tracer), result
 
 
 def main() -> None:
     for policy in ("treematch", "nobind"):
-        timeline, result = run_with_timeline(policy)
+        spans, result = run_with_timeline(policy)
         print(f"=== {policy}  (total {result.time * 1000:.2f} ms, "
-              f"{len(timeline)} segments) ===")
-        print(timeline.render(width=68))
-        utils = [timeline.utilization(pu, result.time) for pu in range(8)]
+              f"{len(spans)} segments) ===")
+        print(render_gantt(spans, width=68))
+        utils = [pu_utilization(spans, pu, result.time) for pu in range(8)]
         print(f"per-PU utilization: {' '.join(f'{u:.0%}' for u in utils)}")
         print()
 

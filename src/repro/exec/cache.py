@@ -247,10 +247,9 @@ def cached_distance_model(
     """A shared :class:`DistanceModel` over :func:`cached_topology`.
 
     *costs* selects a table from :data:`COST_TABLES` (``"default"`` or
-    ``"cluster"``).  When the parent process published the model's
-    tables into shared memory (see :mod:`repro.exec.shm`), the model is
-    assembled zero-copy from read-only views instead of re-running the
-    O(P²) LCA sweep.
+    ``"cluster"``).  Workers of a forked sweep pool inherit the
+    parent's entries, so a model the parent built is never rebuilt
+    there.
     """
     try:
         table = COST_TABLES[costs]
@@ -262,25 +261,8 @@ def cached_distance_model(
     model = _MODELS.get(key)
     if model is not None:
         return model
-    topo = cached_topology(preset, *args)
-    tables = None
-    if cache_enabled():
-        from repro.exec import shm
-
-        tables = shm.attach_tables(shm.shm_key(preset, args, costs))
-    if tables is not None:
-        model = DistanceModel.from_tables(
-            topo,
-            tables["lca_depth"],
-            tables["lca_type"],
-            level_costs=dict(table),
-            lat_table=tables["lat_table"],
-            bw_table=tables["bw_table"],
-        )
-        _bump("model_shm_attach")
-    else:
-        model = DistanceModel(topo, level_costs=dict(table))
-        _bump("model_build")
+    model = DistanceModel(cached_topology(preset, *args), level_costs=dict(table))
+    _bump("model_build")
     _MODELS.put(key, model)
     return model
 

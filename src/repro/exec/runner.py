@@ -122,7 +122,7 @@ def _run_chunk(
     """Worker body: run one chunk, return ``(index, result)`` pairs plus
     the chunk's cache-counter delta and (when enabled) its metric delta.
 
-    Cache hits (placement memo, shared-memory attaches) happen inside
+    Cache hits (placement memo, construction caches) happen inside
     worker processes, invisible to the parent; snapshotting the
     counters around the chunk and shipping the delta home is what lets
     the parent aggregate sweep-wide hit rates.  The metric registry
@@ -173,10 +173,6 @@ class SweepRunner:
         Optional :class:`~repro.exec.progress.SweepEvent` callback (see
         also :func:`~repro.exec.progress.log_progress` and
         :func:`~repro.exec.progress.tracer_progress`).
-    mp_context:
-        ``multiprocessing`` start-method name (default ``"fork"`` where
-        available — workers inherit imported modules, so dispatch cost
-        stays in the milliseconds; ``"spawn"`` elsewhere).
     point_cache:
         Optional :class:`~repro.exec.cache.PointCache`.  Tasks carrying
         a ``cache_key`` are looked up before dispatch (hits fill their
@@ -184,10 +180,10 @@ class SweepRunner:
     shared_topologies:
         Machine specs (see
         :func:`repro.exec.cache.normalize_machine_spec`) whose
-        :class:`~repro.topology.distance.DistanceModel` tables the
-        parent exports into shared memory before opening the pool, so
-        workers attach read-only views instead of rebuilding them.
-        Ignored on the serial path and under ``REPRO_CACHE=off``.
+        :class:`~repro.topology.distance.DistanceModel` the parent
+        builds before opening the pool, so forked workers inherit it
+        instead of rebuilding it.  Ignored on the serial path and under
+        ``REPRO_CACHE=off``.
     """
 
     def __init__(
@@ -197,7 +193,6 @@ class SweepRunner:
         max_retries: int = 1,
         serial_fallback: bool = True,
         on_event: Optional[ProgressCallback] = None,
-        mp_context: Optional[str] = None,
         point_cache: Optional[cache_mod.PointCache] = None,
         shared_topologies: Sequence[Any] = (),
     ) -> None:
@@ -210,10 +205,10 @@ class SweepRunner:
         self.max_retries = max_retries
         self.serial_fallback = serial_fallback
         self._callbacks: list[ProgressCallback] = [on_event] if on_event else []
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self.mp_context = mp_context
+        # ``fork`` workers inherit imported modules and the parent's
+        # construction caches, so dispatch stays in the milliseconds.
+        methods = multiprocessing.get_all_start_methods()
+        self.mp_context = "fork" if "fork" in methods else "spawn"
         self.point_cache = point_cache
         self.shared_topologies = list(shared_topologies)
         #: diagnostics from the last :meth:`map` call.
@@ -427,35 +422,6 @@ class SweepRunner:
             if tasks[i].cache_key and results[i] is not _MISSING:
                 self.point_cache.put(tasks[i].cache_key, results[i])
 
-    def _export_shared_topologies(self):
-        """Publish DistanceModel tables for the pool (or ``None``).
-
-        Builds each requested model in the parent (warming its own
-        cache as a side effect) and exports the tables; any shared-
-        memory-level failure (``/dev/shm`` full, no implementation)
-        degrades to workers building their own models.
-        """
-        if not self.shared_topologies or not cache_mod.cache_enabled():
-            return None
-        from repro.exec import shm
-
-        specs = [
-            cache_mod.normalize_machine_spec(s) for s in self.shared_topologies
-        ]
-        store = shm.SharedTopologyStore()
-        try:
-            for preset, args, costs in specs:
-                model = cache_mod.cached_distance_model(
-                    preset, *args, costs=costs
-                )
-                store.export_model(shm.shm_key(preset, args, costs), model)
-            store.publish()
-        except (OSError, ValueError, MemoryError):
-            store.close()
-            cache_mod.bump_stat("shm_degrade")
-            return None
-        return store
-
     def _map_parallel(
         self,
         tasks: Sequence[Task],
@@ -465,12 +431,13 @@ class SweepRunner:
         todo: Sequence[int],
     ) -> dict[str, int]:
         worker_stats: dict[str, int] = {}
-        store = self._export_shared_topologies()
-        try:
-            self._pool_loop(tasks, results, t0, total, todo, worker_stats)
-        finally:
-            if store is not None:
-                store.close()
+        if cache_mod.cache_enabled():
+            # Build each shared model before the pool forks, so the
+            # workers inherit it instead of rebuilding it.
+            for spec in self.shared_topologies:
+                preset, args, costs = cache_mod.normalize_machine_spec(spec)
+                cache_mod.cached_distance_model(preset, *args, costs=costs)
+        self._pool_loop(tasks, results, t0, total, todo, worker_stats)
         return worker_stats
 
     def _pool_loop(

@@ -460,10 +460,10 @@ def run_scaling(
     so the runner's chunker dispatches 4096-core points alone instead
     of queueing light points behind them.
 
-    Parallel sweeps export every swept machine's distance tables into
-    shared memory (workers attach read-only views — on the 4096-PU
-    preset that is the difference between one table and one per
-    worker); *point_cache* follows
+    Parallel sweeps build every swept machine's distance model in the
+    parent before the pool forks (workers inherit it copy-on-write — on
+    the 4096-PU preset that is the difference between one table and one
+    per worker); *point_cache* follows
     :func:`repro.exec.cache.resolve_point_cache` (``None`` = the
     environment default, ``False`` = off), making nightly re-runs
     incremental.

@@ -8,7 +8,8 @@ Three layers over one event stream:
   with PU / NUMA node / sharing level; probes subscribe live.
 * :mod:`~repro.observe.export` — lossless JSON-lines round-trip plus
   Chrome ``trace_event`` output for Perfetto timelines
-  (``python -m repro.tools.trace`` is the CLI).
+  (``python -m repro.tools.trace`` is the CLI), and per-PU Gantt
+  charts (ASCII and SVG) of the compute / transfer spans.
 * :mod:`~repro.observe.invariants` — :class:`InvariantChecker` audits
   every run's conservation laws (time ledgers, per-level byte totals,
   monotonic clocks) across the three independent records the simulator
@@ -34,8 +35,12 @@ from repro.observe.determinism import (
 from repro.observe.export import (
     chrome_payload,
     dumps_jsonl,
+    gantt_spans,
+    gantt_svg,
     loads_jsonl,
+    pu_utilization,
     read_jsonl,
+    render_gantt,
     write_chrome,
     write_jsonl,
 )
@@ -78,9 +83,13 @@ __all__ = [
     "check_run",
     "chrome_payload",
     "dumps_jsonl",
+    "gantt_spans",
+    "gantt_svg",
     "loads_jsonl",
     "metrics_fingerprint",
+    "pu_utilization",
     "read_jsonl",
+    "render_gantt",
     "run_fingerprint",
     "stream_hash",
     "write_chrome",

@@ -25,7 +25,6 @@ from repro.simulate.syscalls import (
     Wait,
     Yield,
 )
-from repro.simulate.timeline import Segment, Timeline
 
 __all__ = [
     "Engine",
@@ -45,6 +44,4 @@ __all__ = [
     "ReceiveFromNode",
     "Wait",
     "Yield",
-    "Segment",
-    "Timeline",
 ]

@@ -159,10 +159,6 @@ class Machine:
         do.  0 disables.
     seed:
         Seed for scheduler and jitter randomness.
-    timeline:
-        Record a per-thread activity trace
-        (:class:`repro.simulate.timeline.Timeline`) — off by default as
-        large runs produce many segments.
     tracer:
         Optional :class:`repro.observe.Tracer`; when attached the
         machine emits one structured event per activity (compute,
@@ -180,7 +176,6 @@ class Machine:
         scheduler: Optional[SchedulerConfig] = None,
         compute_jitter: float = 0.0,
         seed: SeedLike = 0,
-        timeline: bool = False,
         core_rate_of: Optional[dict[int, float]] = None,
         tracer: Optional["Tracer"] = None,
     ) -> None:
@@ -254,12 +249,6 @@ class Machine:
         #: machine instead of two per balancing decision).
         self._backlog_buf = np.empty(n_pus, dtype=np.float64)
         self._started = False
-        if timeline:
-            from repro.simulate.timeline import Timeline
-
-            self.timeline: Optional["Timeline"] = Timeline()
-        else:
-            self.timeline = None
         self.tracer: Optional["Tracer"] = None
         if tracer is not None:
             self.attach_tracer(tracer)
@@ -457,7 +446,7 @@ class Machine:
         # take _perform.
         cls = sc.__class__
         if cls is Compute:
-            self._do_work(t, sc.duration, is_compute=True)  # type: ignore[attr-defined]
+            self._do_work(t, sc.duration)  # type: ignore[attr-defined]
         elif cls is Wait:
             self._block(t, sc.event)  # type: ignore[attr-defined]
         elif cls is Receive:
@@ -469,7 +458,7 @@ class Machine:
         """Dispatch the syscalls that ``_advance`` does not handle inline."""
         if isinstance(sc, ComputeFlops):
             self._maybe_pull(t)  # pick the PU before pricing the work
-            self._do_work(t, sc.flops / self._rate_of_pu[t.current_pu], is_compute=True)
+            self._do_work(t, sc.flops / self._rate_of_pu[t.current_pu])
         elif isinstance(sc, ReceiveFromNode):
             self._do_receive_from_node(t, sc.node_index, sc.nbytes)
         elif isinstance(sc, Yield):
@@ -561,26 +550,19 @@ class Machine:
                 self._trace("migration", t, self.engine.now, penalty,
                             detail=f"pull:{source}->{target}")
 
-    def _do_work(self, t: SimThread, duration: float, is_compute: bool) -> None:
+    def _do_work(self, t: SimThread, duration: float) -> None:
         self._maybe_pull(t)
-        if self.compute_jitter > 0.0 and is_compute:
+        if self.compute_jitter > 0.0:
             duration *= 1.0 + self.compute_jitter * (2.0 * self._jitter_rng.random() - 1.0)
         if t.pending_penalty > 0.0:
             duration += t.pending_penalty
             t.pending_penalty = 0.0
         start, end = self._occupy_pu(t, duration)
-        if is_compute:
-            self.metrics.record_compute(duration)
-            t.compute_time += duration
-            if self.tracer is not None:
-                self._trace("compute", t, start, duration)
-            self._account_balancing(t, duration)
-        if self.timeline is not None:
-            from repro.simulate.timeline import Segment
-
-            self.timeline.record(
-                Segment(t.tid, t.name, "compute", t.current_pu, start, end)
-            )
+        self.metrics.record_compute(duration)
+        t.compute_time += duration
+        if self.tracer is not None:
+            self._trace("compute", t, start, duration)
+        self._account_balancing(t, duration)
         t.state = ThreadState.READY
         self.engine.at(end, t.resume_cb)
 
@@ -628,12 +610,6 @@ class Machine:
         if self.tracer is not None:
             self._trace("transfer", t, start, duration, level=level.name,
                         nbytes=nbytes, detail=f"from-node:{producer_node}")
-        if self.timeline is not None:
-            from repro.simulate.timeline import Segment
-
-            self.timeline.record(
-                Segment(t.tid, t.name, "transfer", t.current_pu, start, end)
-            )
         self.contention.begin(level, producer_node)
 
         def complete() -> None:

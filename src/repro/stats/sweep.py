@@ -131,8 +131,8 @@ def run_replicated(
     (``None`` = the environment default, ``False`` = off): when a cache
     is active, every task gets its content address as ``cache_key`` and
     the runner serves stored replicates without re-simulating.
-    *shared_topologies* forwards machine specs to the runner's
-    shared-memory export (parallel sweeps only).
+    *shared_topologies* forwards machine specs the runner's parent
+    builds before forking its pool (parallel sweeps only).
     """
     specs = list(specs)
     if seeds < 1:

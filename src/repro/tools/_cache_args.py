@@ -29,8 +29,8 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable every caching tier — placement memo, shared-memory "
-             "topologies, point results — and recompute everything "
+        help="disable every caching tier — placement memo, pre-fork "
+             "model builds, point results — and recompute everything "
              "(the cold path the cached results are verified against)",
     )
 

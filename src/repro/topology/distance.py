@@ -185,74 +185,26 @@ class DistanceModel:
         # One vectorized sweep yields both per-pair tables in compact
         # dtypes (int16 depths, int8 types) — the memory-lean layout the
         # generator-built mega-topologies rely on.
-        lca_depth, lca_type = _lca_tables(self.topo)
-        # Same PU: core-local (warm cache), not the PU object itself.
-        np.fill_diagonal(lca_type, int(ObjType.CORE))
-        self._install_tables(lca_depth, lca_type)
-
-    def _install_tables(
-        self,
-        lca_depth: np.ndarray,
-        lca_type: np.ndarray,
-        lat_table: Optional[np.ndarray] = None,
-        bw_table: Optional[np.ndarray] = None,
-    ) -> None:
-        """Wire finalized tables in (shared by build and zero-copy paths).
-
-        *lca_type* must already have its diagonal core-filled; the
-        tables are installed as-is and never written to afterwards, so
-        read-only shared-memory views are fine.
-        """
-        self._lca_depth = lca_depth
-        self._lca_type = lca_type
+        self._lca_depth, self._lca_type = _lca_tables(self.topo)
         self._hops: Optional[np.ndarray] = None
+        # Same PU: core-local (warm cache), not the PU object itself.
+        np.fill_diagonal(self._lca_type, int(ObjType.CORE))
         # os_index -> logical index translation for runtime callers.
         self._os_to_logical = {
             pu.os_index: pu.logical_index for pu in self.topo.pus()
         }
-        if lat_table is None or bw_table is None:
-            machine_cost = self.level_costs.get(
-                ObjType.MACHINE, DEFAULT_LEVEL_COSTS[ObjType.MACHINE]
-            )
-            max_type = max(int(t) for t in ObjType)
-            lat_table = np.zeros(max_type + 1, dtype=np.float64)
-            bw_table = np.full(
-                max_type + 1, machine_cost.bandwidth, dtype=np.float64
-            )
-            for t in ObjType:
-                costs = self.level_costs.get(t, machine_cost)
-                lat_table[int(t)] = costs.latency
-                bw_table[int(t)] = costs.bandwidth
-        self._lat_table = lat_table
-        self._bw_table = bw_table
-
-    @classmethod
-    def from_tables(
-        cls,
-        topo: Topology,
-        lca_depth: np.ndarray,
-        lca_type: np.ndarray,
-        level_costs: Optional[dict[ObjType, LinkCosts]] = None,
-        lat_table: Optional[np.ndarray] = None,
-        bw_table: Optional[np.ndarray] = None,
-    ) -> "DistanceModel":
-        """Assemble a model around externally provided pairwise tables.
-
-        This is the zero-copy path of :mod:`repro.exec.shm`: the tables
-        come from a finalized model of the *same* topology (diagonal
-        already core-filled), typically as read-only shared-memory
-        views, and are never copied or mutated — skipping the O(P²) LCA
-        sweep entirely.  *lat_table* / *bw_table* default to rebuilding
-        the (tiny) flat cost tables from *level_costs*.
-        """
-        model = cls.__new__(cls)
-        model.topo = topo
-        model.level_costs = (
-            dict(level_costs) if level_costs is not None
-            else dict(DEFAULT_LEVEL_COSTS)
+        machine_cost = self.level_costs.get(
+            ObjType.MACHINE, DEFAULT_LEVEL_COSTS[ObjType.MACHINE]
         )
-        model._install_tables(lca_depth, lca_type, lat_table, bw_table)
-        return model
+        max_type = max(int(t) for t in ObjType)
+        self._lat_table = np.zeros(max_type + 1, dtype=np.float64)
+        self._bw_table = np.full(
+            max_type + 1, machine_cost.bandwidth, dtype=np.float64
+        )
+        for t in ObjType:
+            costs = self.level_costs.get(t, machine_cost)
+            self._lat_table[int(t)] = costs.latency
+            self._bw_table[int(t)] = costs.bandwidth
 
     # -- lookups (hot path: called per halo exchange in the simulator) ------
 

@@ -8,6 +8,7 @@ serially in-process; ordinary task exceptions propagate unchanged.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -31,10 +32,10 @@ from repro.exec import (
     run_sweep,
     topology_fingerprint,
 )
-from repro.exec import shm
 from repro.exec.cache import (
     _LRUDict,
     TOPOLOGY_CACHE_CAP,
+    _MODELS,
     _TOPOLOGIES,
     cache_stats,
     placement_key,
@@ -71,6 +72,10 @@ def _crash_once(x: int, sentinel: str) -> int:
 
 def _crash_always(x: int) -> int:
     os._exit(42)
+
+
+def _model_transfer_time(pu: int) -> float:
+    return cached_distance_model("paper-smp", 2, 8).transfer_time(0, pu, 4096.0)
 
 
 class TestDeriveSeed:
@@ -474,96 +479,26 @@ class TestPointCacheSweep:
 
 
 class TestSharedTopologies:
-    """Tier 2: zero-copy shared-memory DistanceModel tables."""
+    """The parent builds shared models once; forked workers inherit them."""
 
     PRESET = ("paper-smp", (2, 8), "default")
 
-    def _fresh(self):
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="only forked workers inherit the parent's models",
+    )
+    def test_workers_inherit_parent_model(self):
+        tasks = [Task(_model_transfer_time, {"pu": pu}) for pu in range(4)]
+        serial = SweepRunner(n_workers=1).map(tasks)
         clear_cache()
-        shm.detach_all()
-
-    def test_export_attach_round_trip(self):
-        self._fresh()
-        model = cached_distance_model("paper-smp", 2, 8)
-        key = shm.shm_key(*self.PRESET)
-        with shm.SharedTopologyStore() as store:
-            store.export_model(key, model)
-            store.publish()
-            tables = shm.attach_tables(key)
-            assert tables is not None
-            for name in shm.TABLE_NAMES:
-                np.testing.assert_array_equal(
-                    tables[name], getattr(model, f"_{name}")
-                )
-                assert not tables[name].flags.writeable
-
-            # A model assembled from the shared views is bit-identical.
-            clear_cache()
-            before = cache_stats()
-            attached = cached_distance_model("paper-smp", 2, 8)
-            assert stats_delta(before).get("model_shm_attach") == 1
-            np.testing.assert_array_equal(
-                attached._lca_depth, model._lca_depth
-            )
-            np.testing.assert_array_equal(attached._lca_type, model._lca_type)
-        self._fresh()
-
-    def test_close_unlinks_segments(self):
-        self._fresh()
-        from multiprocessing import shared_memory
-
-        model = cached_distance_model("paper-smp", 2, 8)
-        key = shm.shm_key(*self.PRESET)
-        store = shm.SharedTopologyStore()
-        store.export_model(key, model)
-        store.publish()
-        names = [
-            spec["segment"] for spec in store.manifest[key].values()
-        ]
-        store.close()
-        shm.detach_all()
-        assert os.environ.get(shm.ENV_MANIFEST) is None
-        assert shm.attach_tables(key) is None
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-        clear_cache()
-
-    def test_worker_crash_leaves_no_segments(self, tmp_path):
-        """A sweep whose workers die must still unlink every segment."""
-        self._fresh()
-        from multiprocessing import shared_memory
-
-        manifests = []
         runner = SweepRunner(
-            n_workers=2, chunk_size=1, max_retries=0,
-            shared_topologies=[self.PRESET],
-            on_event=lambda e: manifests.append(
-                os.environ.get(shm.ENV_MANIFEST)
-            ),
+            n_workers=2, chunk_size=1, shared_topologies=[self.PRESET]
         )
-        sentinel = str(tmp_path / "crashed")
-        tasks = [
-            Task(_crash_once, {"x": i, "sentinel": sentinel}) for i in range(4)
-        ]
-        assert runner.map(tasks) == [0, 1, 4, 9]
-        assert runner.last_stats["serial_fallback"] is True
-
-        published = [m for m in manifests if m]
-        assert published, "the store never published a manifest"
-        import json
-
-        names = [
-            spec["segment"]
-            for entry in json.loads(published[0]).values()
-            for spec in entry.values()
-        ]
-        assert names
-        assert os.environ.get(shm.ENV_MANIFEST) is None
-        shm.detach_all()
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert runner.map(tasks) == serial
+        assert runner.last_stats["mode"] == "parallel"
+        # One build in total, and it was the parent's: no worker rebuilt.
+        assert runner.last_stats["cache"]["model_build"] == 1
+        assert self.PRESET in _MODELS
         clear_cache()
 
 
