@@ -14,6 +14,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from repro.comm.patterns import square_grid_shape
@@ -144,7 +145,7 @@ def run_cluster_lk23(
         seeds=seeds,
         base_seed=seed,
         scope="cluster",
-        value_of=_cluster_point_time,
+        value_of=attrgetter("time"),
         n_workers=n_workers,
     )
     out: dict[str, ClusterPoint] = {}
@@ -154,10 +155,6 @@ def run_cluster_lk23(
             point.time_stats = p.stats
         out[point.policy] = point
     return out
-
-
-def _cluster_point_time(point: ClusterPoint) -> float:
-    return point.time
 
 
 def table(points: dict[str, ClusterPoint]) -> str:

@@ -20,7 +20,8 @@ the three scalar claims as factor bands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import machine_inputs
@@ -34,6 +35,11 @@ from repro.stats.aggregate import SeedStats
 from repro.stats.significance import SpeedupVerdict, compare
 from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.util.validate import ValidationError
+
+if TYPE_CHECKING:
+    from repro.observe.tracer import Tracer
+    from repro.topology.distance import DistanceModel
+    from repro.topology.tree import Topology
 
 #: The implementations of the figure, in its legend order.
 IMPLEMENTATIONS = ("orwl-bind", "orwl-nobind", "openmp")
@@ -323,6 +329,52 @@ class Fig1Result:
         return "\n".join(lines)
 
 
+def run_lk23_point(
+    topo: Topology,
+    distance_model: DistanceModel,
+    implementation: str,
+    n: int,
+    iterations: int,
+    seed: int,
+    tracer: Optional[Tracer] = None,
+) -> tuple[float, Machine]:
+    """One LK23 run on *topo*: one ORWL task or OpenMP worker per PU.
+
+    The point body of Figure 1 (:func:`run_point`), of the E6 scaling
+    sweep (:func:`repro.experiments.scaling.run_scaling_point`) and of
+    ``repro.tools.perf``; each caller picks its machine and matrix
+    order *n*.  ORWL-Bind places the tasks with TreeMatch, ORWL-NoBind
+    leaves them to the OS.  Returns the processing time and the
+    machine, whose ``metrics`` are the run's counters and whose tracer
+    is *tracer*.
+
+    ``Machine``, ``Runtime``, ``bind_program``, ``build_program`` and
+    ``run_openmp_lk23`` are looked up in this module at call time:
+    ``perfbench/spans.py`` rebinds them here to time and capture the
+    point's layers.
+    """
+    if implementation not in IMPLEMENTATIONS:
+        raise ValidationError(
+            f"unknown implementation {implementation!r}; one of {IMPLEMENTATIONS}"
+        )
+    n_cores = topo.nb_pus
+    machine = Machine(topo, distance_model=distance_model, seed=seed, tracer=tracer)
+    if implementation == "openmp":
+        result = run_openmp_lk23(
+            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
+        )
+        return result.time, machine
+    rows, cols = square_grid_shape(n_cores)
+    cfg = Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
+    prog = build_program(cfg)
+    policy = "treematch" if implementation == "orwl-bind" else "nobind"
+    plan = bind_program(prog, topo, policy=policy)
+    runtime = Runtime(
+        prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
+    )
+    return runtime.run().time, machine
+
+
 def run_point(
     implementation: str,
     n_cores: int,
@@ -339,12 +391,8 @@ def run_point(
     :func:`repro.observe.determinism.run_fingerprint` — the cheap way to
     assert two sweeps (e.g. serial vs parallel) did bit-identical work.
     With *perf_report*, the run is traced and the point carries the
-    JSON form of its :func:`repro.perf.analyze` report in ``perf``.
+    JSON form of its :func:`repro.perf.analyze_run` report in ``perf``.
     """
-    if implementation not in IMPLEMENTATIONS:
-        raise ValidationError(
-            f"unknown implementation {implementation!r}; one of {IMPLEMENTATIONS}"
-        )
     if n_cores % cores_per_socket != 0:
         raise ValidationError(
             f"core count {n_cores} must be whole sockets of {cores_per_socket}"
@@ -361,26 +409,7 @@ def run_point(
         from repro.observe.tracer import Tracer
 
         tracer = Tracer()
-    machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
-
-    if implementation == "openmp":
-        result = run_openmp_lk23(
-            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
-        )
-        metrics = result.metrics
-        time = result.time
-    else:
-        rows, cols = square_grid_shape(n_cores)
-        cfg = Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
-        prog = build_program(cfg)
-        policy = "treematch" if implementation == "orwl-bind" else "nobind"
-        plan = bind_program(prog, topo, policy=policy)
-        runtime = Runtime(
-            prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
-        )
-        run = runtime.run()
-        metrics = run.metrics
-        time = run.time
+    time, machine = run_lk23_point(topo, dm, implementation, n, iterations, seed, tracer)
 
     fp = ""
     if fingerprint:
@@ -390,17 +419,11 @@ def run_point(
 
     perf = None
     if perf_report:
-        from repro.perf import analyze
-        from repro.topology.objects import ObjType
+        from repro.perf import analyze_run
 
-        perf = analyze(
-            tracer.events,
-            label=f"{implementation}@{n_cores}",
-            measured_time=time,
-            n_pus=topo.nb_pus,
-            n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
-        ).to_json_dict()
+        perf = analyze_run(machine, f"{implementation}@{n_cores}", time).to_json_dict()
 
+    metrics = machine.metrics
     return Fig1Point(
         implementation=implementation,
         n_cores=n_cores,
@@ -411,12 +434,6 @@ def run_point(
         fingerprint=fp,
         perf=perf,
     )
-
-
-def _point_time(point: Fig1Point) -> float:
-    """``value_of`` extractor for the replicated sweep (module-level so
-    it stays importable, though aggregation runs in the parent only)."""
-    return point.time
 
 
 def run_fig1(
@@ -479,12 +496,12 @@ def run_fig1(
         for c in core_counts
         for impl in implementations
     ]
-    sweep = run_replicated(
+    return run_replicated(
         specs,
         seeds=seeds,
         base_seed=seed,
         scope="fig1",
-        value_of=_point_time,
+        value_of=attrgetter("time"),
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
@@ -494,10 +511,4 @@ def run_fig1(
         shared_topologies=[
             ("paper-smp", (c // 8, 8), "default") for c in core_counts
         ],
-    )
-    for point in sweep.points:
-        result.points.append(point.first)
-        result.replicates[point.key] = tuple(point.results)
-        if point.stats is not None:
-            result.seed_stats[point.key] = point.stats
-    return result
+    ).fill(result)

@@ -20,25 +20,22 @@ are **paired** (sign-flip permutation tests on per-seed differences),
 Cliff's delta reports the effect size next to each p-value, and
 Holm–Bonferroni corrects the family of tests across the swept sizes —
 one blind 5 %-level test per size would otherwise hand the sweep a
-free false positive by sheer multiplicity.
+free false positive by sheer multiplicity.  :class:`PairedSweep` holds
+this layer for E6 and for the E7 DAG sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Optional, Sequence
 
-from repro.comm.patterns import square_grid_shape
-from repro.exec.cache import machine_inputs
 from repro.exec.runner import SweepRunner
-from repro.experiments.fig1 import IMPLEMENTATIONS
-from repro.kernels.lk23_orwl import Lk23Config, build_program
-from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
-from repro.orwl.runtime import Runtime
-from repro.placement.binder import bind_program
-from repro.simulate.machine import Machine
-from repro.stats.aggregate import SeedStats
+from repro.experiments.fig1 import IMPLEMENTATIONS, run_lk23_point
+# perfbench/spans.py getattr-rebinds these on this module; the body reads fig1's.
+from repro.experiments.fig1 import Machine, Runtime, bind_program, build_program, machine_inputs, run_openmp_lk23  # noqa: F401
+from repro.stats.aggregate import SeedStats, stats_rows
 from repro.stats.significance import PairedVerdict, compare_paired, correct_verdicts
 from repro.stats.sweep import ReplicateSpec, run_replicated
 from repro.topology.generate import scaling_sizes
@@ -97,58 +94,28 @@ def run_scaling_point(
     :data:`repro.topology.presets.PRESETS`), one ORWL task / OpenMP
     worker per core, matrix order fixed per-core by *cells_per_core*.
     With *perf_report*, the run is traced and the point carries the
-    JSON form of its :func:`repro.perf.analyze` report in ``perf``.
+    JSON form of its :func:`repro.perf.analyze_run` report in ``perf``.
     """
-    if implementation not in IMPLEMENTATIONS:
-        raise ValidationError(
-            f"unknown implementation {implementation!r}; one of {IMPLEMENTATIONS}"
-        )
     topo, dm = machine_inputs(preset)
-    n_cores = topo.nb_pus
-    n = matrix_order(n_cores, cells_per_core)
+    n = matrix_order(topo.nb_pus, cells_per_core)
     tracer = None
     if perf_report:
         from repro.observe.tracer import Tracer
 
         tracer = Tracer()
-    machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
-
-    if implementation == "openmp":
-        result = run_openmp_lk23(
-            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
-        )
-        metrics = result.metrics
-        time = result.time
-    else:
-        rows, cols = square_grid_shape(n_cores)
-        cfg = Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
-        prog = build_program(cfg)
-        policy = "treematch" if implementation == "orwl-bind" else "nobind"
-        plan = bind_program(prog, topo, policy=policy)
-        runtime = Runtime(
-            prog, machine, mapping=plan.mapping, control_mapping=plan.control_mapping
-        )
-        run = runtime.run()
-        metrics = run.metrics
-        time = run.time
+    time, machine = run_lk23_point(topo, dm, implementation, n, iterations, seed, tracer)
 
     perf = None
     if perf_report:
-        from repro.perf import analyze
-        from repro.topology.objects import ObjType
+        from repro.perf import analyze_run
 
-        perf = analyze(
-            tracer.events,
-            label=f"{implementation}@{preset}",
-            measured_time=time,
-            n_pus=topo.nb_pus,
-            n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
-        ).to_json_dict()
+        perf = analyze_run(machine, f"{implementation}@{preset}", time).to_json_dict()
 
+    metrics = machine.metrics
     return ScalingPoint(
         preset=preset,
         implementation=implementation,
-        n_cores=n_cores,
+        n_cores=topo.nb_pus,
         n=n,
         time=time,
         local_fraction=metrics.local_fraction,
@@ -158,19 +125,202 @@ def run_scaling_point(
     )
 
 
-def _point_time(point: ScalingPoint) -> float:
-    return point.time
+class PairedSweep:
+    """A matched-seed sweep of arms over rows (E6 here, E7 in
+    :mod:`repro.experiments.dag`): lookups, the Holm-corrected paired
+    verdicts of one candidate arm against every other, table cells and
+    JSON blocks.
+
+    A result dataclass mixes it in, keeps its data in ``points``
+    (replicate 0 per point), ``replicates`` (all runs per ``(row, arm)``
+    key in replicate order — the seed pairing), ``seed_stats``,
+    ``n_seeds`` and ``alpha``, and sets up the axes: the row and arm
+    names, the candidate arm, and the row and arm lists.
+    """
+
+    #: name of the row axis (``"preset"``): table head, JSON key.
+    row: str
+    #: name of the arm axis (``"implementation"``): JSON key.
+    arm: str
+    #: the arm every other arm is compared against.
+    candidate: str
+    #: short table tags of some baselines (``{"orwl-nobind": "nobind"}``).
+    tags: dict[str, str] = {}
+
+    points: list
+    replicates: dict[tuple[str, str], tuple]
+    seed_stats: dict
+    n_seeds: int
+    alpha: float
+
+    def _rows(self) -> list[str]:
+        raise NotImplementedError
+
+    def _arms(self) -> list[str]:
+        raise NotImplementedError
+
+    def _baselines(self) -> list[str]:
+        return [a for a in self._arms() if a != self.candidate]
+
+    # -- lookups -----------------------------------------------------------
+
+    def _lookup(self, table: dict, row: str, arm: str) -> Any:
+        try:
+            return table[row, arm]
+        except KeyError:
+            raise KeyError(
+                f"no point ({self.row}={row!r}, {self.arm}={arm!r}); swept "
+                f"{self._rows() or '(none)'} x {self._arms() or '(none)'}"
+            ) from None
+
+    def point_of(self, row: str, arm: str) -> Any:
+        """Replicate 0 of one point."""
+        return self._lookup(self.replicates, row, arm)[0]
+
+    def times_of(self, row: str, arm: str) -> list[float]:
+        """Replicate times in **replicate order** (the seed pairing)."""
+        return [p.time for p in self._lookup(self.replicates, row, arm)]
+
+    def mean_time(self, row: str, arm: str) -> float:
+        return self._lookup(self.seed_stats, row, arm).mean
+
+    # -- paired significance ----------------------------------------------
+
+    def paired_verdicts(self) -> dict[str, list[tuple[str, PairedVerdict]]]:
+        """Matched-seed candidate comparisons, Holm-corrected per baseline.
+
+        For each baseline arm the family of paired tests is "candidate
+        vs this baseline on every swept row"; Holm–Bonferroni runs
+        across that family, so each :class:`PairedVerdict` carries both
+        its raw and corrected p-value.  Keys are baseline names; values
+        are ``(row, verdict)`` pairs in sweep order.
+        """
+        if self.candidate not in self._arms():
+            return {}
+        rows = self._rows()
+        out: dict[str, list[tuple[str, PairedVerdict]]] = {}
+        for baseline in self._baselines():
+            family = [
+                compare_paired(
+                    baseline,
+                    self.times_of(row, baseline),
+                    self.candidate,
+                    self.times_of(row, self.candidate),
+                    alpha=self.alpha,
+                )
+                for row in rows
+            ]
+            out[baseline] = list(zip(rows, correct_verdicts(family)))
+        return out
+
+    def speedup(self, row: str, baseline: str) -> float:
+        """Mean-time speedup of the candidate over *baseline* on one row."""
+        return self.mean_time(row, baseline) / self.mean_time(row, self.candidate)
+
+    # -- rendering ---------------------------------------------------------
+
+    def _paired_table(
+        self,
+        head: str,
+        cells: Callable[[str], str],
+        mean_width: int,
+        precision: int,
+        vs_width: int,
+        family: str,
+    ) -> list[str]:
+        """Header, rule and one line per row, then the verdict notes.
+
+        Each row line is the row name, the caller's *cells* (under its
+        *head*), every arm's mean time and, per baseline, the
+        candidate's speedup, corrected p-value and Cliff's delta.
+        *family* names the rows in the notes ("swept sizes").
+        """
+        rows, arms = self._rows(), self._arms()
+        verdicts = self.paired_verdicts()
+        by_key = {
+            (baseline, row): v
+            for baseline, pairs in verdicts.items()
+            for row, v in pairs
+        }
+        name_w = max([len(self.row)] + [len(r) for r in rows])
+        header = f"{self.row:<{name_w}}{head}"
+        for arm in arms:
+            header += f" {arm + ' mean':>{mean_width}}"
+        for baseline in self._baselines():
+            tag = "vs " + self.tags.get(baseline, baseline)
+            header += f" {tag:>{vs_width}} {'p-corr':>8} {'delta':>7}"
+        lines = [header, "-" * len(header)]
+        for row in rows:
+            line = f"{row:<{name_w}}{cells(row)}"
+            for arm in arms:
+                try:
+                    line += f" {self.mean_time(row, arm):>{mean_width}.{precision}f}"
+                except KeyError:
+                    line += f" {'-':>{mean_width}}"
+            for baseline in self._baselines():
+                v = by_key.get((baseline, row))
+                if v is None:
+                    line += f" {'-':>{vs_width}} {'-':>8} {'-':>7}"
+                    continue
+                mark = "*" if v.significant else " "
+                p = f"{v.p_corrected:.4f}" if v.p_corrected is not None else "n/a"
+                speedup = f"{v.speedup_mean:.2f}x{mark}"
+                line += f" {speedup:>{vs_width}} {p:>8} {v.delta:>+7.2f}"
+            lines.append(line)
+        if self.n_seeds > 1:
+            lines.append("")
+            lines.append(
+                f"paired sign-flip permutation tests over {self.n_seeds} matched "
+                f"seeds; p-values Holm-Bonferroni-corrected across the "
+                f"{len(rows)} {family}; * = significant at "
+                f"alpha={self.alpha:g}; delta = Cliff's effect size."
+            )
+            for pairs in verdicts.values():
+                for row, v in pairs:
+                    lines.append(f"  [{row}] {v}")
+        return lines
+
+    def _paired_json(self) -> dict:
+        """The ``stats`` and ``paired_significance`` blocks of the dump."""
+        return {
+            "stats": stats_rows(self.seed_stats, (self.row, self.arm)),
+            "paired_significance": [
+                {
+                    self.row: row,
+                    "baseline": v.baseline,
+                    "candidate": v.candidate,
+                    "n_pairs": v.n_pairs,
+                    "speedup_mean": v.speedup_mean,
+                    "speedup_ci": [v.speedup_ci_lo, v.speedup_ci_hi],
+                    "delta": v.delta,
+                    "effect": v.effect_label,
+                    "p_value": v.p_value,
+                    "p_corrected": v.p_corrected,
+                    "verdict": v.verdict,
+                    "method": v.method,
+                }
+                for pairs in self.paired_verdicts().values()
+                for row, v in pairs
+            ],
+        }
 
 
 @dataclass
-class ScalingResult:
+class ScalingResult(PairedSweep):
     """All points of a machine-size sweep plus the paired statistics.
 
     ``points`` holds replicate 0 of every point (the base-seed run);
     ``replicates`` all N runs per ``(preset, implementation)`` in
     replicate order — order matters, it *is* the seed pairing — and
-    ``seed_stats`` the per-point time aggregates.
+    ``seed_stats`` the per-point time aggregates.  Lookups, the paired
+    verdicts of ORWL-Bind against every other implementation across the
+    swept sizes and :meth:`speedup` come from :class:`PairedSweep`.
     """
+
+    row = "preset"
+    arm = "implementation"
+    candidate = "orwl-bind"
+    tags = {"orwl-nobind": "nobind"}
 
     presets: list[str] = field(default_factory=list)
     #: preset -> core count, in sweep (ascending-size) order.
@@ -185,74 +335,16 @@ class ScalingResult:
         default_factory=dict
     )
 
-    # -- lookups -----------------------------------------------------------
+    def _rows(self) -> list[str]:
+        return self.presets
 
-    def _missing_key_error(self, preset: str, implementation: str) -> KeyError:
-        return KeyError(
-            f"no point (preset={preset!r}, implementation={implementation!r}); "
-            f"swept presets {self.presets or '(none)'} with implementations "
-            f"{sorted({p.implementation for p in self.points}) or '(none)'}"
-        )
-
-    def point_of(self, preset: str, implementation: str) -> ScalingPoint:
-        for p in self.points:
-            if p.preset == preset and p.implementation == implementation:
-                return p
-        raise self._missing_key_error(preset, implementation)
-
-    def times_of(self, preset: str, implementation: str) -> list[float]:
-        """Replicate times in **replicate order** (the seed pairing)."""
-        try:
-            return [p.time for p in self.replicates[preset, implementation]]
-        except KeyError:
-            raise self._missing_key_error(preset, implementation) from None
-
-    def mean_time(self, preset: str, implementation: str) -> float:
-        try:
-            return self.seed_stats[preset, implementation].mean
-        except KeyError:
-            raise self._missing_key_error(preset, implementation) from None
+    def _arms(self) -> list[str]:
+        return self.implementations()
 
     def implementations(self) -> list[str]:
         """Swept implementations, in the figure's legend order."""
         have = {p.implementation for p in self.points}
         return [impl for impl in IMPLEMENTATIONS if impl in have]
-
-    # -- paired significance ----------------------------------------------
-
-    def paired_verdicts(self) -> dict[str, list[tuple[str, PairedVerdict]]]:
-        """Matched-seed ORWL-Bind comparisons, Holm-corrected per family.
-
-        For each baseline implementation, the family of paired tests is
-        "ORWL-Bind vs this baseline at every swept size"; the
-        Holm–Bonferroni correction runs across that family, so each
-        returned :class:`PairedVerdict` carries both its raw and
-        corrected p-value.  Keys are baseline names; values are
-        ``(preset, verdict)`` pairs in sweep order.
-        """
-        impls = self.implementations()
-        if "orwl-bind" not in impls:
-            return {}
-        out: dict[str, list[tuple[str, PairedVerdict]]] = {}
-        for baseline in impls:
-            if baseline == "orwl-bind":
-                continue
-            family = [
-                compare_paired(
-                    baseline,
-                    self.times_of(preset, baseline),
-                    "orwl-bind",
-                    self.times_of(preset, "orwl-bind"),
-                    alpha=self.alpha,
-                )
-                for preset in self.presets
-            ]
-            out[baseline] = list(zip(self.presets, correct_verdicts(family)))
-        return out
-
-    def speedup(self, preset: str, baseline: str) -> float:
-        """Mean-time speedup of ORWL-Bind over *baseline* at one size."""
-        return self.mean_time(preset, baseline) / self.mean_time(preset, "orwl-bind")
 
     def speedup_curve(self, baseline: str) -> list[tuple[int, float]]:
         """(cores, bind-speedup-over-baseline) in sweep order."""
@@ -284,52 +376,14 @@ class ScalingResult:
         preset name, so generated presets with long names stay aligned.
         """
         impls = self.implementations()
-        verdicts = self.paired_verdicts()
-        by_key = {
-            (baseline, preset): v
-            for baseline, rows in verdicts.items()
-            for preset, v in rows
-        }
-        name_w = max([len("preset")] + [len(p) for p in self.presets])
-        impl_w = max([10] + [len(i) + 7 for i in impls])
-        header = f"{'preset':<{name_w}} {'cores':>6}"
-        for impl in impls:
-            header += f" {impl + ' mean':>{impl_w}}"
-        for baseline in impls:
-            if baseline == "orwl-bind":
-                continue
-            tag = "nobind" if baseline == "orwl-nobind" else baseline
-            header += f" {'vs ' + tag:>10} {'p-corr':>8} {'delta':>7}"
-        lines = [header, "-" * len(header)]
-        for preset in self.presets:
-            row = f"{preset:<{name_w}} {self.sizes[preset]:>6}"
-            for impl in impls:
-                try:
-                    row += f" {self.mean_time(preset, impl):>{impl_w}.4f}"
-                except KeyError:
-                    row += f" {'-':>{impl_w}}"
-            for baseline in impls:
-                if baseline == "orwl-bind":
-                    continue
-                v = by_key.get((baseline, preset))
-                if v is None:
-                    row += f" {'-':>10} {'-':>8} {'-':>7}"
-                    continue
-                mark = "*" if v.significant else " "
-                p = f"{v.p_corrected:.4f}" if v.p_corrected is not None else "n/a"
-                row += f" {f'{v.speedup_mean:.2f}x{mark}':>10} {p:>8} {v.delta:>+7.2f}"
-            lines.append(row)
-        if self.n_seeds > 1:
-            lines.append("")
-            lines.append(
-                f"paired sign-flip permutation tests over {self.n_seeds} matched "
-                f"seeds; p-values Holm-Bonferroni-corrected across the "
-                f"{len(self.presets)} swept sizes; * = significant at "
-                f"alpha={self.alpha:g}; delta = Cliff's effect size."
-            )
-            for baseline, rows in verdicts.items():
-                for preset, v in rows:
-                    lines.append(f"  [{preset}] {v}")
+        lines = self._paired_table(
+            f" {'cores':>6}",
+            lambda preset: f" {self.sizes[preset]:>6}",
+            mean_width=max([10] + [len(i) + 7 for i in impls]),
+            precision=4,
+            vs_width=10,
+            family="swept sizes",
+        )
         for baseline in ("orwl-nobind", "openmp"):
             if baseline not in impls or "orwl-bind" not in impls:
                 continue
@@ -349,12 +403,9 @@ class ScalingResult:
         """ASCII chart of the ORWL-Bind speedup curves vs machine size."""
         from repro.experiments.plotting import ascii_plot
 
-        impls = self.implementations()
         series = {}
-        for baseline in impls:
-            if baseline == "orwl-bind":
-                continue
-            tag = "vs " + ("nobind" if baseline == "orwl-nobind" else baseline)
+        for baseline in self._baselines():
+            tag = "vs " + self.tags.get(baseline, baseline)
             series[tag] = [(float(c), s) for c, s in self.speedup_curve(baseline)]
         if not series:
             return "(no baselines to compare against)"
@@ -368,7 +419,6 @@ class ScalingResult:
 
     def to_json_dict(self) -> dict:
         """JSON-safe dump of the sweep (the nightly CI artifact)."""
-        verdicts = self.paired_verdicts()
         return {
             "format": "repro-scaling",
             "presets": list(self.presets),
@@ -394,42 +444,10 @@ class ScalingResult:
                 }
                 for p in self.points
             ],
-            "stats": [
-                {
-                    "preset": preset,
-                    "implementation": impl,
-                    "n": s.n,
-                    "mean": s.mean,
-                    "median": s.median,
-                    "stddev": s.stddev,
-                    "ci_lo": s.ci_lo,
-                    "ci_hi": s.ci_hi,
-                    "confidence": s.confidence,
-                }
-                for (preset, impl), s in sorted(self.seed_stats.items())
-            ],
-            "paired_significance": [
-                {
-                    "preset": preset,
-                    "baseline": v.baseline,
-                    "candidate": v.candidate,
-                    "n_pairs": v.n_pairs,
-                    "speedup_mean": v.speedup_mean,
-                    "speedup_ci": [v.speedup_ci_lo, v.speedup_ci_hi],
-                    "delta": v.delta,
-                    "effect": v.effect_label,
-                    "p_value": v.p_value,
-                    "p_corrected": v.p_corrected,
-                    "verdict": v.verdict,
-                    "method": v.method,
-                }
-                for rows in verdicts.values()
-                for preset, v in rows
-            ],
+            **self._paired_json(),
             "saturation": {
                 baseline: self.saturation(baseline)
-                for baseline in self.implementations()
-                if baseline != "orwl-bind"
+                for baseline in self._baselines()
             },
         }
 
@@ -499,21 +517,15 @@ def run_scaling(
         for preset, n_cores in sized
         for impl in implementations
     ]
-    sweep = run_replicated(
+    return run_replicated(
         specs,
         seeds=seeds,
         base_seed=seed,
         scope="scaling",
-        value_of=_point_time,
+        value_of=attrgetter("time"),
         confidence=confidence,
         runner=runner,
         n_workers=n_workers,
         point_cache=point_cache,
         shared_topologies=[(preset, (), "default") for preset, _ in sized],
-    )
-    for point in sweep.points:
-        result.points.append(point.first)
-        result.replicates[point.key] = tuple(point.results)
-        if point.stats is not None:
-            result.seed_stats[point.key] = point.stats
-    return result
+    ).fill(result)

@@ -16,7 +16,8 @@ to ``perf`` / LIKWID / a flamegraph on real hardware:
   buckets sum to the measured time difference;
 * :mod:`~repro.perf.flamegraph` — folded-stack export for
   ``flamegraph.pl`` / speedscope;
-* :mod:`~repro.perf.report` — :func:`analyze`, the one-call facade.
+* :mod:`~repro.perf.report` — :func:`analyze`, the one-call facade
+  (:func:`analyze_run` for one traced sweep point).
 
 Everything here is a pure function of the event stream: same seed,
 same report, byte for byte.
@@ -42,7 +43,7 @@ from repro.perf.numa import (
     render_heatmap,
     traffic_matrix,
 )
-from repro.perf.report import PerfReport, analyze
+from repro.perf.report import PerfReport, analyze, analyze_run
 from repro.perf.spans import WORK_KINDS, TraceIndex, bucket_of, ensure_index
 from repro.perf.topdown import GapAttribution, attribute_gap
 
@@ -58,6 +59,7 @@ __all__ = [
     "TraceIndex",
     "TrafficMatrix",
     "analyze",
+    "analyze_run",
     "attribute_gap",
     "attribute_makespan",
     "bucket_of",

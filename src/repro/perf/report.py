@@ -3,15 +3,16 @@
 :func:`analyze` runs every ``repro.perf`` analysis over one event
 stream (indexing it once) and returns a :class:`PerfReport` that
 renders as a full text report or serializes to a JSON-safe dict.  The
-dict form is what the experiment drivers attach to their sweep points:
-it round-trips through :meth:`PerfReport.from_json_dict` minus the
-critical-path chain (the span objects themselves stay out of JSON).
+dict form of :func:`analyze_run` is what the experiment drivers attach
+to their sweep points: it round-trips through
+:meth:`PerfReport.from_json_dict` minus the critical-path chain (the
+span objects themselves stay out of JSON).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.observe.tracer import TraceEvent
 from repro.perf.counters import (
@@ -28,6 +29,10 @@ from repro.perf.critpath import (
 )
 from repro.perf.numa import TrafficMatrix, render_heatmap, traffic_matrix
 from repro.perf.spans import TraceIndex, ensure_index
+from repro.topology.objects import ObjType
+
+if TYPE_CHECKING:
+    from repro.simulate.machine import Machine
 
 
 @dataclass
@@ -165,4 +170,17 @@ def analyze(
             )
         ),
         matrix=traffic_matrix(idx, n_nodes=n_nodes),
+    )
+
+
+def analyze_run(machine: "Machine", label: str, measured_time: float) -> PerfReport:
+    """:func:`analyze` one traced sweep point: the *machine*'s event
+    stream, with the PU and NUMA-node counts of its topology."""
+    topo = machine.topo
+    return analyze(
+        machine.tracer.events,
+        label=label,
+        measured_time=measured_time,
+        n_pus=topo.nb_pus,
+        n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
     )

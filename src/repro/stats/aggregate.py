@@ -19,7 +19,7 @@ stddev is 0 — aggregating N=1 is exactly the single-run number.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -152,3 +152,27 @@ def summarize_map(
         )
         for key in sorted(common)
     }
+
+
+def stats_rows(
+    stats: Mapping[tuple, SeedStats], key_names: Sequence[str]
+) -> list[dict[str, Any]]:
+    """JSON rows of per-point statistics, sorted by point key.
+
+    Each row names the key's fields by *key_names* (``("preset",
+    "implementation")``), then carries every summary field but the raw
+    ``values``.
+    """
+    return [
+        {
+            **dict(zip(key_names, key)),
+            "n": s.n,
+            "mean": s.mean,
+            "median": s.median,
+            "stddev": s.stddev,
+            "ci_lo": s.ci_lo,
+            "ci_hi": s.ci_hi,
+            "confidence": s.confidence,
+        }
+        for key, s in sorted(stats.items())
+    ]

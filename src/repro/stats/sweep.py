@@ -90,6 +90,20 @@ class ReplicatedSweep:
     def stats_by_key(self) -> dict[tuple, SeedStats]:
         return {p.key: p.stats for p in self.points if p.stats is not None}
 
+    def fill(self, result: Any) -> Any:
+        """File the sweep into an experiment result and return it.
+
+        Appends replicate 0 of every point to ``result.points``, stores
+        all replicates under ``result.replicates[key]`` and the time
+        aggregate under ``result.seed_stats[key]``.
+        """
+        for point in self.points:
+            result.points.append(point.first)
+            result.replicates[point.key] = tuple(point.results)
+            if point.stats is not None:
+                result.seed_stats[point.key] = point.stats
+        return result
+
 
 def replicate_seeds(base: int, scope: str, key: tuple, n: int) -> list[int]:
     """The seed schedule of one point: base first, derived children after.

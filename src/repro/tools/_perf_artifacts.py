@@ -1,29 +1,45 @@
 """Shared ``--perf-report DIR`` artifact writer of the sweep CLIs.
 
-Both ``repro.tools.fig1`` and ``repro.tools.scaling`` attach a
-:class:`repro.perf.PerfReport` JSON dict to every point when run with
-``--perf-report``; this module turns those dicts into the on-disk
-artifact set (what the nightly CI job uploads):
+``repro.tools.fig1``, ``repro.tools.scaling`` and ``repro.tools.dag``
+attach a :class:`repro.perf.PerfReport` JSON dict to every point when
+run with ``--perf-report``; this module turns those dicts into the
+on-disk artifact set (what the nightly CI job uploads):
 
 * ``<stem>.json`` / ``<stem>.txt`` — each point's full report;
-* ``topdown-<group>.txt`` — per sweep group (a core count, a preset),
-  the gap attribution of every implementation against the group's
-  fastest one.
+* ``topdown-<group>.txt`` — per sweep group (a core count, a preset, a
+  DAG workload), the gap attribution of every implementation or policy
+  against the group's fastest one (:func:`gaps_to_fastest`, which
+  ``repro.tools.perf`` prints too).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-import json
 
-from repro.perf import PerfReport, attribute_gap
+from repro.perf import GapAttribution, PerfReport, attribute_gap
+from repro.tools._common import write_json
+
+
+def gaps_to_fastest(reports: list[PerfReport]) -> list[GapAttribution]:
+    """The gap attribution of every report against the fastest one."""
+    fastest = min(reports, key=lambda r: r.measured_time)
+    return [
+        attribute_gap(
+            report.attribution, fastest.attribution,
+            slow_label=report.label, fast_label=fastest.label,
+            measured_slow=report.measured_time,
+            measured_fast=fastest.measured_time,
+        )
+        for report in reports
+        if report is not fastest
+    ]
 
 
 def write_point_reports(
     directory: "str | Path",
     entries: list[tuple[str, tuple, "dict | None"]],
 ) -> int:
-    """Write the artifact set; returns the number of files written.
+    """Write the artifact set, print how many files; returns that number.
 
     *entries* are ``(file stem, group key, perf JSON dict)`` triples —
     points whose dict is ``None`` (run without tracing) are skipped.
@@ -37,9 +53,7 @@ def write_point_reports(
             continue
         report = PerfReport.from_json_dict(perf)
         groups.setdefault(group, []).append(report)
-        with open(out_dir / f"{stem}.json", "w") as fh:
-            json.dump(perf, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_dir / f"{stem}.json", perf)
         (out_dir / f"{stem}.txt").write_text(
             report.render() + "\n", encoding="utf-8"
         )
@@ -47,22 +61,11 @@ def write_point_reports(
     for group, reports in groups.items():
         if len(reports) < 2:
             continue
-        fastest = min(reports, key=lambda r: r.measured_time)
-        sections = []
-        for report in reports:
-            if report is fastest:
-                continue
-            sections.append(
-                attribute_gap(
-                    report.attribution, fastest.attribution,
-                    slow_label=report.label, fast_label=fastest.label,
-                    measured_slow=report.measured_time,
-                    measured_fast=fastest.measured_time,
-                ).render()
-            )
+        sections = [gap.render() for gap in gaps_to_fastest(reports)]
         tag = "-".join(str(g) for g in group)
         (out_dir / f"topdown-{tag}.txt").write_text(
             "\n\n".join(sections) + "\n", encoding="utf-8"
         )
         n_files += 1
+    print(f"\nwrote {n_files} perf artifacts to {directory}")
     return n_files

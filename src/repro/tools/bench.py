@@ -41,12 +41,14 @@ import json
 import platform
 import sys
 import time
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable
 
 from repro.exec.runner import SweepRunner, resolve_workers
 from repro.experiments.ablations import treematch_cost_curve
 from repro.experiments.fig1 import run_fig1
 from repro.simulate.engine import Engine
+from repro.stats.aggregate import stats_rows
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
 
 
@@ -91,6 +93,23 @@ def bench_engine(n_events: int) -> dict[str, Any]:
     }
 
 
+def _same_runs(
+    a: Any, b: Any, key: Callable[[Any], tuple]
+) -> tuple[int, bool]:
+    """Run count of sweep result *a*, and whether *b* made the same runs.
+
+    Same runs: replicate for replicate, in sweep order, the same point
+    *key*, simulated time and determinism fingerprint.
+    """
+    a_reps = [p for reps in a.replicates.values() for p in reps]
+    b_reps = [p for reps in b.replicates.values() for p in reps]
+    same = len(a_reps) == len(b_reps) and all(
+        key(p) == key(q) and p.time == q.time and p.fingerprint == q.fingerprint
+        for p, q in zip(a_reps, b_reps)
+    )
+    return len(a_reps), same
+
+
 def bench_fig1(
     core_counts: tuple[int, ...], iterations: int, n: int, seed: int,
     seeds: int = 1,
@@ -126,42 +145,24 @@ def bench_fig1(
     )
     parallel_wall = time.perf_counter() - t0
 
-    serial_reps = [p for reps in serial.replicates.values() for p in reps]
-    parallel_reps = [p for reps in parallel.replicates.values() for p in reps]
-    identical = [
-        (a.implementation, a.n_cores) == (b.implementation, b.n_cores)
-        and a.time == b.time
-        and a.fingerprint == b.fingerprint
-        for a, b in zip(serial_reps, parallel_reps)
-    ]
+    n_runs, identical = _same_runs(
+        serial, parallel, attrgetter("implementation", "n_cores")
+    )
     report: dict[str, Any] = {
         "core_counts": list(core_counts),
         "iterations": iterations,
         "n": n,
         "seeds": seeds,
         "n_points": len(serial.points),
-        "n_runs": len(serial_reps),
+        "n_runs": n_runs,
         "serial_wall_s": serial_wall,
         "parallel_wall_s": parallel_wall,
         "speedup": serial_wall / parallel_wall if parallel_wall > 0 else 0.0,
         "parallel_stats": parallel_runner.last_stats,
-        "bit_identical": all(identical) and len(identical) == len(serial_reps),
+        "bit_identical": identical,
     }
     if seeds > 1:
-        report["stats"] = [
-            {
-                "implementation": impl,
-                "cores": cores,
-                "n": s.n,
-                "mean": s.mean,
-                "median": s.median,
-                "stddev": s.stddev,
-                "ci_lo": s.ci_lo,
-                "ci_hi": s.ci_hi,
-                "confidence": s.confidence,
-            }
-            for (impl, cores), s in sorted(serial.seed_stats.items())
-        ]
+        report["stats"] = stats_rows(serial.seed_stats, ("implementation", "cores"))
         report["significance"] = [
             {
                 "baseline": v.baseline,
@@ -225,21 +226,16 @@ def bench_sweep_cache(
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    cold_reps = [p for reps in cold.replicates.values() for p in reps]
-    warm_reps = [p for reps in warm.replicates.values() for p in reps]
-    identical = [
-        (a.implementation, a.n_cores) == (b.implementation, b.n_cores)
-        and a.time == b.time
-        and a.fingerprint == b.fingerprint
-        for a, b in zip(cold_reps, warm_reps)
-    ]
+    n_runs, identical = _same_runs(
+        cold, warm, attrgetter("implementation", "n_cores")
+    )
     warm_lookups = warm_cache.hits + warm_cache.misses
     return {
         "core_counts": list(core_counts),
         "iterations": iterations,
         "n": n,
         "seeds": seeds,
-        "n_runs": len(cold_reps),
+        "n_runs": n_runs,
         "cold_wall_s": cold_wall,
         "warm_wall_s": warm_wall,
         "warm_speedup": cold_wall / warm_wall if warm_wall > 0 else 0.0,
@@ -248,7 +244,7 @@ def bench_sweep_cache(
         "warm_hit_rate": (
             warm_cache.hits / warm_lookups if warm_lookups else 0.0
         ),
-        "bit_identical": all(identical) and len(identical) == len(cold_reps),
+        "bit_identical": identical,
     }
 
 
@@ -366,38 +362,20 @@ def bench_dag(
     )
     parallel_wall = time.perf_counter() - t0
 
-    serial_reps = [p for reps in serial.replicates.values() for p in reps]
-    parallel_reps = [p for reps in parallel.replicates.values() for p in reps]
-    identical = [
-        (a.workload, a.policy) == (b.workload, b.policy)
-        and a.time == b.time
-        and a.fingerprint == b.fingerprint
-        for a, b in zip(serial_reps, parallel_reps)
-    ]
+    n_runs, identical = _same_runs(
+        serial, parallel, attrgetter("workload", "policy")
+    )
     return {
         "n_cores": n_cores,
         "scale": scale,
         "seeds": seeds,
         "compile": compile_rows,
-        "n_runs": len(serial_reps),
+        "n_runs": n_runs,
         "serial_wall_s": serial_wall,
         "parallel_wall_s": parallel_wall,
         "speedup": serial_wall / parallel_wall if parallel_wall > 0 else 0.0,
-        "bit_identical": all(identical) and len(identical) == len(serial_reps),
-        "stats": [
-            {
-                "workload": workload,
-                "policy": policy,
-                "n": s.n,
-                "mean": s.mean,
-                "median": s.median,
-                "stddev": s.stddev,
-                "ci_lo": s.ci_lo,
-                "ci_hi": s.ci_hi,
-                "confidence": s.confidence,
-            }
-            for (workload, policy), s in sorted(serial.seed_stats.items())
-        ],
+        "bit_identical": identical,
+        "stats": stats_rows(serial.seed_stats, ("workload", "policy")),
         "bind_speedups": {
             workload: serial.speedup(workload, "nobind")
             for workload in serial.workloads

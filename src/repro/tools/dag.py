@@ -11,25 +11,10 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 
 from repro.experiments.dag import POLICIES, WORKLOADS, run_dag
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
-
-
-def _name_list(universe: tuple[str, ...], what: str):
-    def parse(value: str) -> list[str]:
-        names = [name.strip() for name in value.split(",") if name.strip()]
-        if not names:
-            raise argparse.ArgumentTypeError(f"need at least one {what}")
-        for name in names:
-            if name not in universe:
-                raise argparse.ArgumentTypeError(
-                    f"unknown {what} {name!r}; one of {','.join(universe)}"
-                )
-        return names
-
-    return parse
+from repro.tools._common import add_paired_sweep_arguments, name_list, write_json
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,14 +23,14 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workloads",
-        type=_name_list(WORKLOADS, "workload"),
+        type=name_list(WORKLOADS, "workload"),
         default=list(WORKLOADS),
         metavar="A,B,...",
         help=f"comma-separated DAG families (default {','.join(WORKLOADS)})",
     )
     parser.add_argument(
         "--policies",
-        type=_name_list(POLICIES, "policy"),
+        type=name_list(POLICIES, "policy"),
         default=list(POLICIES),
         metavar="A,B,...",
         help=f"comma-separated placements (default {','.join(POLICIES)})",
@@ -60,15 +45,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="DAG structure seed (BFS input graph, "
                              "divide-and-conquer split coins); separate "
                              "from the simulation seed")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seeds", type=int, default=1,
-                        help="matched replicates per point (> 1 enables the "
-                             "paired permutation tests and Holm correction)")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="family-wise significance level")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="sweep worker processes (0 = all host cores, "
-                             "1 = serial; results are identical either way)")
+    add_paired_sweep_arguments(parser)
     parser.add_argument("--fingerprint", action="store_true",
                         help="trace every point and record its run "
                              "fingerprint in the JSON dump")
@@ -101,18 +78,15 @@ def main(argv: list[str] | None = None) -> int:
     if args.perf_report:
         from repro.tools._perf_artifacts import write_point_reports
 
-        n_files = write_point_reports(
+        write_point_reports(
             args.perf_report,
             [
                 (f"dag-{p.workload}-{p.policy}", (p.workload,), p.perf)
                 for p in result.points
             ],
         )
-        print(f"\nwrote {n_files} perf artifacts to {args.perf_report}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, result.to_json_dict())
         print(f"wrote {len(result.points)} points to {args.json}")
     return 0
 

@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.perf_report:
         from repro.tools._perf_artifacts import write_point_reports
 
-        n_files = write_point_reports(
+        write_point_reports(
             args.perf_report,
             [
                 (f"fig1-{p.implementation}-{p.n_cores}",
@@ -94,7 +94,6 @@ def main(argv: list[str] | None = None) -> int:
                 for p in result.points
             ],
         )
-        print(f"\nwrote {n_files} perf artifacts to {args.perf_report}")
 
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

@@ -19,36 +19,18 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
-from repro.comm.patterns import square_grid_shape
 from repro.exec.cache import machine_inputs
-from repro.exec.runner import derive_seed
-from repro.experiments.fig1 import IMPLEMENTATIONS
+from repro.experiments.fig1 import IMPLEMENTATIONS, run_lk23_point
 from repro.experiments.scaling import matrix_order
-from repro.kernels.lk23_orwl import Lk23Config, build_program
-from repro.kernels.openmp import OpenMpConfig, run_openmp_lk23
 from repro.observe.tracer import Tracer
-from repro.orwl.runtime import Runtime
-from repro.perf import PerfReport, analyze, attribute_gap, write_folded
-from repro.placement.binder import bind_program
-from repro.simulate.machine import Machine
+from repro.perf import PerfReport, analyze, analyze_run, write_folded
 from repro.stats.aggregate import summarize_map
+from repro.stats.sweep import replicate_seeds
+from repro.tools._common import name_list, write_json
+from repro.tools._perf_artifacts import gaps_to_fastest
 from repro.topology.generate import SCALING_SPECS
-from repro.topology.objects import ObjType
-
-
-def _impl_list(value: str) -> list[str]:
-    names = [name.strip() for name in value.split(",") if name.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("need at least one implementation")
-    for name in names:
-        if name not in IMPLEMENTATIONS:
-            raise argparse.ArgumentTypeError(
-                f"unknown implementation {name!r}; one of {IMPLEMENTATIONS}"
-            )
-    return names
 
 
 def run_traced(
@@ -60,34 +42,10 @@ def run_traced(
 ) -> tuple[PerfReport, list]:
     """One traced run on a generated preset; the report and raw events."""
     topo, dm = machine_inputs(preset)
-    n_cores = topo.nb_pus
-    tracer = Tracer()
-    machine = Machine(topo, distance_model=dm, seed=seed, tracer=tracer)
-    if implementation == "openmp":
-        result = run_openmp_lk23(
-            machine, OpenMpConfig(n=n, n_threads=n_cores, iterations=iterations)
-        )
-        time = result.time
-    else:
-        rows, cols = square_grid_shape(n_cores)
-        prog = build_program(
-            Lk23Config(n=n, grid_rows=rows, grid_cols=cols, iterations=iterations)
-        )
-        policy = "treematch" if implementation == "orwl-bind" else "nobind"
-        plan = bind_program(prog, topo, policy=policy)
-        time = Runtime(
-            prog, machine, mapping=plan.mapping,
-            control_mapping=plan.control_mapping,
-        ).run().time
-    events = tracer.events
-    report = analyze(
-        events,
-        label=implementation,
-        measured_time=time,
-        n_pus=topo.nb_pus,
-        n_nodes=topo.nbobjs_by_type(ObjType.NUMANODE),
+    time, machine = run_lk23_point(
+        topo, dm, implementation, n, iterations, seed, Tracer()
     )
-    return report, events
+    return analyze_run(machine, implementation, time), machine.tracer.events
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,8 +58,8 @@ def main(argv: list[str] | None = None) -> int:
         f"(one of {','.join(sorted(SCALING_SPECS))}; default paper)",
     )
     parser.add_argument(
-        "--impl", type=_impl_list, default=["orwl-bind", "orwl-nobind"],
-        metavar="A,B,...",
+        "--impl", type=name_list(IMPLEMENTATIONS, "implementation"),
+        default=["orwl-bind", "orwl-nobind"], metavar="A,B,...",
         help="comma-separated implementations to run and compare "
         f"(of {','.join(IMPLEMENTATIONS)}; default orwl-bind,orwl-nobind)",
     )
@@ -146,11 +104,8 @@ def main(argv: list[str] | None = None) -> int:
         n = args.n if args.n is not None else matrix_order(topo.nb_pus)
         for impl in args.impl:
             rows = []
-            for r in range(args.seeds):
-                seed = (
-                    args.seed if r == 0
-                    else derive_seed(args.seed, "perf", impl, r)
-                )
+            seeds = replicate_seeds(args.seed, "perf", (impl,), args.seeds)
+            for r, seed in enumerate(seeds):
                 report, events = run_traced(
                     args.preset, impl, n, args.iterations, seed
                 )
@@ -164,21 +119,10 @@ def main(argv: list[str] | None = None) -> int:
         print(report.render())
         print()
 
-    gaps = []
-    if len(reports) > 1:
-        fastest = min(reports, key=lambda r: r.measured_time)
-        for report in reports:
-            if report is fastest:
-                continue
-            gap = attribute_gap(
-                report.attribution, fastest.attribution,
-                slow_label=report.label, fast_label=fastest.label,
-                measured_slow=report.measured_time,
-                measured_fast=fastest.measured_time,
-            )
-            gaps.append(gap)
-            print(gap.render())
-            print()
+    gaps = gaps_to_fastest(reports) if len(reports) > 1 else []
+    for gap in gaps:
+        print(gap.render())
+        print()
 
     if args.seeds > 1 and summaries:
         for impl, rows in summaries.items():
@@ -206,9 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             "reports": [r.to_json_dict() for r in reports],
             "gaps": [g.to_json_dict() for g in gaps],
         }
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, doc)
         print(f"wrote {len(reports)} reports to {args.json}")
     return 0
 

@@ -11,23 +11,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 
 from repro.experiments.scaling import CELLS_PER_CORE, DEFAULT_PRESETS, run_scaling
 from repro.tools._cache_args import add_cache_arguments, apply_cache_arguments
+from repro.tools._common import add_paired_sweep_arguments, name_list, write_json
 from repro.topology.generate import SCALING_SPECS
-
-
-def _preset_list(value: str) -> list[str]:
-    names = [name.strip() for name in value.split(",") if name.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("need at least one preset name")
-    for name in names:
-        if name not in SCALING_SPECS:
-            raise argparse.ArgumentTypeError(
-                f"unknown preset {name!r}; one of {sorted(SCALING_SPECS)}"
-            )
-    return names
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -36,7 +24,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--preset",
-        type=_preset_list,
+        type=name_list(sorted(SCALING_SPECS), "preset"),
         default=list(DEFAULT_PRESETS),
         metavar="A,B,...",
         help="comma-separated generated presets to sweep "
@@ -48,15 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cells-per-core", type=int, default=CELLS_PER_CORE,
                         help="weak-scaling workload: matrix cells per core "
                              "(default = the paper's 16384^2 / 192)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seeds", type=int, default=1,
-                        help="matched replicates per point (> 1 enables the "
-                             "paired permutation tests and Holm correction)")
-    parser.add_argument("--alpha", type=float, default=0.05,
-                        help="family-wise significance level")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="sweep worker processes (0 = all host cores, "
-                             "1 = serial; results are identical either way)")
+    add_paired_sweep_arguments(parser)
     parser.add_argument("--json", metavar="FILE",
                         help="write the full sweep (points, stats, paired "
                              "significance, saturation) as JSON")
@@ -93,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.perf_report:
         from repro.tools._perf_artifacts import write_point_reports
 
-        n_files = write_point_reports(
+        write_point_reports(
             args.perf_report,
             [
                 (f"scaling-{p.implementation}-{p.preset}",
@@ -101,11 +81,8 @@ def main(argv: list[str] | None = None) -> int:
                 for p in result.points
             ],
         )
-        print(f"\nwrote {n_files} perf artifacts to {args.perf_report}")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, result.to_json_dict())
         print(f"wrote {len(result.points)} points to {args.json}")
     return 0
 

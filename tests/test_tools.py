@@ -1,5 +1,7 @@
 """Tests for the CLI tools and host-topology discovery."""
 
+import json
+
 import pytest
 
 from repro.comm import patterns
@@ -86,6 +88,39 @@ class TestFig1Cli:
         lines = dest.read_text().splitlines()
         assert lines[0].startswith("implementation,")
         assert len(lines) == 4  # header + 3 implementations
+
+
+class TestDagCli:
+    @pytest.fixture(autouse=True)
+    def _hermetic_cache(self, monkeypatch, tmp_path):
+        # The CLI exports its cache flags into the environment for pool
+        # workers; registering the keys here restores them afterwards.
+        monkeypatch.setenv("REPRO_CACHE", "on")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    def test_small_sweep_writes_json(self, tmp_path, capsys):
+        from repro.tools import dag as dag_cli
+
+        dest = tmp_path / "dag.json"
+        rc = dag_cli.main([
+            "--workloads", "bfs", "--policies", "bind,nobind", "--scale", "1",
+            "--cores", "16", "--seeds", "2", "--workers", "1",
+            "--cache-dir", str(tmp_path / "cache"), "--json", str(dest),
+        ])
+        assert rc == 0
+        assert "bfs" in capsys.readouterr().out
+        doc = json.loads(dest.read_text())
+        assert doc["format"] == "repro-dag"
+        assert [(r["workload"], r["baseline"], r["candidate"])
+                for r in doc["paired_significance"]] == [("bfs", "nobind", "bind")]
+
+    def test_unknown_workload_exits_nonzero(self, capsys):
+        from repro.tools import dag as dag_cli
+
+        with pytest.raises(SystemExit) as exc:
+            dag_cli.main(["--workloads", "bfs,fft"])
+        assert exc.value.code != 0
+        assert "fft" in capsys.readouterr().err
 
 
 class TestSimulateCli:
